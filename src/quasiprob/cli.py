@@ -5,12 +5,12 @@ Conventions shared by all subcommands:
   - option precedence is flags > config file > built-in defaults; the config
     file (--config PATH) is flat key=value lines, keys matching the long flag
     names with '-' replaced by '_', '#' starting a comment;
-  - the structured report is printed to stdout as JSON (sorted keys) and also
-    written under --out DIR (default: current directory); log lines go to
-    stderr;
+  - main creates --out DIR (default: current directory), writes the handler's
+    report there as <subcommand>.json (strict JSON, sorted keys) and prints
+    the same text to stdout; log lines go to stderr;
   - usage mistakes (unknown flag/subcommand, malformed numbers) exit 2;
-    violated preconditions (bad state spec, unreadable file, out-of-range
-    values) exit 1 with a diagnostic.
+    violated preconditions (bad state spec, unreadable file, out-of-range or
+    non-finite values) exit 1 with a diagnostic.
 
 States are named by a mini-grammar: gaussian:x0,p0,sigma | hermite:n |
 file:PATH where PATH is a sampled-wavefunction CSV with sidecar.
@@ -19,6 +19,7 @@ file:PATH where PATH is a sampled-wavefunction CSV with sidecar.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 import warnings
 from pathlib import Path
@@ -26,21 +27,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .numerics import Grid1D, Grid2D, PreconditionError, SampledFunction1D, square_grid
-from .serial import (
-    read_sampled_csv,
-    write_complex_grid_csv,
-    write_json,
-    write_marginal_csv,
-    write_matrix_csv,
-    write_matrix_txt,
-    write_wigner_csv,
-)
+from .numerics import Grid1D, Grid2D, PreconditionError, square_grid
+from .serial import read_sampled_csv, write_csv, write_json, write_matrix_txt
 from .spin import SpinState, expectations, feynman_choice, nonneg_window, zx_sum_spectrum_report
 from .states import DirectionAB, WaveFunction, gaussian_state, oscillator_eigenstate, sampled_state
 from .tomography import (
     direction_residuals,
-    marginal_of_quasi,
     quantum_marginal,
     rectangle_modification,
     reconstruct_from_marginals,
@@ -195,10 +187,23 @@ def resolve_options(ns: argparse.Namespace, conf: dict[str, str]) -> dict[str, A
                 raise PreconditionError(f"config value {name}={conf[name]!r} is not a valid {conv.__name__}") from e
         else:
             merged[name] = default
+        if isinstance(merged[name], float) and not cmath.isfinite(merged[name]):
+            raise PreconditionError(f"--{name.replace('_', '-')} must be finite, got {merged[name]!r}")
     missing = [k for k, v in merged.items() if v is REQUIRED]
     if missing:
         raise UsageError(f"{ns.subcommand}: missing required option(s): " + ", ".join("--" + m.replace("_", "-") for m in missing))
     return merged
+
+
+def _finite_numbers(parts: list[str], conv: Callable, what: str) -> list:
+    """Convert each part with conv; a malformed or non-finite number is a PreconditionError."""
+    try:
+        vals = [conv(v) for v in parts]
+    except ValueError as e:
+        raise PreconditionError(f"{what}: {e}") from e
+    if not all(cmath.isfinite(v) for v in vals):
+        raise PreconditionError(f"{what}: numbers must be finite")
+    return vals
 
 
 def parse_state(spec: str, hbar: float) -> WaveFunction:
@@ -207,10 +212,7 @@ def parse_state(spec: str, hbar: float) -> WaveFunction:
         parts = rest.split(",")
         if not sep or len(parts) != 3:
             raise PreconditionError(f"state spec {spec!r}: expected gaussian:x0,p0,sigma")
-        try:
-            x0, p0, sigma = (float(v) for v in parts)
-        except ValueError as e:
-            raise PreconditionError(f"state spec {spec!r}: {e}") from e
+        x0, p0, sigma = _finite_numbers(parts, float, f"state spec {spec!r}")
         return gaussian_state(x0, p0, sigma, hbar)
     if kind == "hermite":
         try:
@@ -231,10 +233,7 @@ def parse_spin_state(spec: str) -> SpinState:
     parts = spec.split(",")
     if len(parts) != 2:
         raise PreconditionError(f"spin state {spec!r}: expected two comma-separated amplitudes")
-    try:
-        c0, c1 = (complex(v.strip().replace("i", "j")) for v in parts)
-    except ValueError as e:
-        raise PreconditionError(f"spin state {spec!r}: {e}") from e
+    c0, c1 = _finite_numbers([v.strip().replace("i", "j") for v in parts], complex, f"spin state {spec!r}")
     return SpinState(c0, c1)
 
 
@@ -245,14 +244,6 @@ def _grid1(name: str, lo: float, hi: float, n: int) -> Grid1D:
         raise PreconditionError(f"{name} grid: {e}") from e
 
 
-def _emit(report: dict, out_dir: str, filename: str) -> Path:
-    d = Path(out_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / filename
-    write_json(path, report)
-    return path
-
-
 def cmd_wigner(o: dict) -> dict:
     psi = parse_state(o["state"], o["hbar"])
     pmin = o["pmin"] if o["pmin"] is not None else o["xmin"]
@@ -261,8 +252,7 @@ def cmd_wigner(o: dict) -> dict:
     grid = Grid2D(_grid1("x", o["xmin"], o["xmax"], o["n"]), _grid1("p", pmin, pmax, pn))
     f = wigner_transform(psi, grid)
     d = Path(o["out"])
-    d.mkdir(parents=True, exist_ok=True)
-    write_wigner_csv(d / "wigner.csv", f)
+    write_csv(d / "wigner.csv", ("x", "p", "f"), grid.gx.points[:, None], grid.gp.points, f.values)
     write_matrix_txt(d / "wigner_matrix.txt", f.values)
     report = {
         "kind": "wigner-meta",
@@ -277,18 +267,15 @@ def cmd_wigner(o: dict) -> dict:
         "min_value": float(f.values.min()),
         "files": {"csv": "wigner.csv", "matrix": "wigner_matrix.txt"},
     }
-    _emit(report, o["out"], "wigner.json")
     return report
 
 
 def cmd_charfn(o: dict) -> dict:
     psi = parse_state(o["state"], o["hbar"])
     g = _grid1("alpha", o["amin"], o["amax"], o["n"])
-    A, B = np.meshgrid(g.points, g.points, indexing="ij")
-    vals = characteristic_function(psi, A, B)
-    d = Path(o["out"])
-    d.mkdir(parents=True, exist_ok=True)
-    write_complex_grid_csv(d / "charfn.csv", ("alpha", "beta"), A, B, vals)
+    a = g.points[:, None]
+    vals = characteristic_function(psi, a, g.points)
+    write_csv(Path(o["out"]) / "charfn.csv", ("alpha", "beta", "re", "im"), a, g.points, vals.real, vals.imag)
     ia = int(np.argmin(np.abs(g.points)))
     report = {
         "kind": "charfn-meta",
@@ -302,7 +289,6 @@ def cmd_charfn(o: dict) -> dict:
         "origin_im": float(vals[ia, ia].imag),
         "files": {"csv": "charfn.csv"},
     }
-    _emit(report, o["out"], "charfn.json")
     return report
 
 
@@ -312,9 +298,7 @@ def cmd_marginal(o: dict) -> dict:
     dvec = DirectionAB(float(np.cos(th)), float(np.sin(th)))
     zgrid = _grid1("z", o["zmin"], o["zmax"], o["zn"])
     m = quantum_marginal(psi, dvec, zgrid)
-    d = Path(o["out"])
-    d.mkdir(parents=True, exist_ok=True)
-    write_marginal_csv(d / "marginal.csv", zgrid.points, m.values)
+    write_csv(Path(o["out"]) / "marginal.csv", ("z", "g"), zgrid.points, m.values)
     report = {
         "kind": "marginal-meta",
         "state": o["state"],
@@ -324,7 +308,6 @@ def cmd_marginal(o: dict) -> dict:
         "integral": m.integral(),
         "files": {"csv": "marginal.csv"},
     }
-    _emit(report, o["out"], "marginal.json")
     return report
 
 
@@ -359,7 +342,6 @@ def cmd_tomo(o: dict) -> dict:
         "worst_theta": float(probes[kworst]),
         "worst_residual": float(res[kworst]),
     }
-    _emit(report, o["out"], "tomo.json")
     return report
 
 
@@ -390,7 +372,6 @@ def cmd_tamper(o: dict) -> dict:
         "worst_residual": float(res[kworst]),
         "flagged": bool(res[kworst] > threshold),
     }
-    _emit(report, o["out"], "tamper.json")
     return report
 
 
@@ -408,11 +389,10 @@ def cmd_weyl_check(o: dict) -> dict:
         "rhs": rhs,
         "diff": diff,
     }
-    _emit(report, o["out"], "weyl_check.json")
     if o["dump_matrix"]:
         M = weyl_quantize(g, o["dim"], hbar=o["hbar"])
-        d = Path(o["out"])
-        write_matrix_csv(d / "weyl_matrix.csv", M)
+        k = np.arange(M.shape[0])
+        write_csv(Path(o["out"]) / "weyl_matrix.csv", ("i", "j", "re", "im"), k[:, None], k, M.real, M.imag)
     return report
 
 
@@ -420,10 +400,8 @@ def cmd_spin(o: dict) -> dict:
     st = parse_spin_state(o["state"])
     tspec = o["t"]
     if tspec not in ("feynman", "neg-feynman"):
-        try:
-            tspec = float(tspec)
-        except ValueError as e:
-            raise PreconditionError(f"--t must be a number, 'feynman' or 'neg-feynman', got {o['t']!r}") from e
+        what = f"--t must be a number, 'feynman' or 'neg-feynman', got {tspec!r}"
+        (tspec,) = _finite_numbers([tspec], float, what)
     f = feynman_choice(st, tspec)
     ex, ey, ez = expectations(st)
     lo, hi = nonneg_window(ez, ex)
@@ -437,7 +415,6 @@ def cmd_spin(o: dict) -> dict:
         "nonnegative": f.nonnegative(),
         "zx_report": zx_sum_spectrum_report(f),
     }
-    _emit(report, o["out"], "spin.json")
     return report
 
 
@@ -445,10 +422,7 @@ def cmd_negativity(o: dict) -> dict:
     if (o["values"] is None) == (o["state"] is None):
         raise UsageError("negativity: pass exactly one of --values or --state")
     if o["values"] is not None:
-        try:
-            vals = [float(v) for v in o["values"].split(",")]
-        except ValueError as e:
-            raise PreconditionError(f"--values {o['values']!r}: {e}") from e
+        vals = _finite_numbers(o["values"].split(","), float, f"--values {o['values']!r}")
         if not vals:
             raise PreconditionError("--values: empty list")
         report = {
@@ -468,7 +442,6 @@ def cmd_negativity(o: dict) -> dict:
             "state": o["state"],
             "hbar": o["hbar"],
         }
-    _emit(report, o["out"], "negativity.json")
     return report
 
 
@@ -481,9 +454,7 @@ def cmd_verify(o: dict) -> dict:
         {k: v for k, v in c.items() if not (k == "value" and c["name"].endswith("-runtime-s"))}
         for c in report["checks"]
     ]
-    disk = {"kind": report["kind"], "ok": report["ok"], "checks": checks}
-    _emit(disk, o["out"], "verify.json")
-    return disk
+    return {"kind": report["kind"], "ok": report["ok"], "checks": checks}
 
 
 HANDLERS = {
@@ -505,7 +476,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         conf = parse_config(ns.config) if hasattr(ns, "config") else {}
         opts = resolve_options(ns, conf)
+        out = Path(opts["out"])
+        out.mkdir(parents=True, exist_ok=True)
         report = HANDLERS[ns.subcommand](opts)
+        text = write_json(out / (ns.subcommand.replace("-", "_") + ".json"), report)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
@@ -515,11 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    import json as _json
-
-    from .serial import _plain
-
-    print(_json.dumps(_plain(report), indent=2, sort_keys=True))
+    sys.stdout.write(text)
     if ns.subcommand == "verify":
         return 0 if report["ok"] else 1
     return 0

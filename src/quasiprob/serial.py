@@ -1,10 +1,10 @@
 """On-disk formats: CSV tables, whitespace matrix dumps, and JSON reports.
 
-Every CSV starts with a header row.  Floats are written with repr, the
+Every CSV starts with a header row.  Numbers are written with repr, the
 shortest digit string that round-trips, so identical inputs produce
 byte-identical files.  JSON reports carry a "kind" tag and validate against
-schemas/outputs.schema.json; write_json sorts keys and appends a newline for
-the same reproducibility reason.
+schemas/outputs.schema.json; write_json sorts keys, appends a newline for
+the same reproducibility reason, and refuses NaN and infinities.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _plain(obj):
     """Recursively coerce numpy scalars/arrays so json.dump accepts them."""
     if isinstance(obj, dict):
@@ -52,14 +48,33 @@ def _plain(obj):
     return obj
 
 
-def write_json(path: str | Path, obj: dict) -> None:
+def write_json(path: str | Path, obj: dict) -> str:
+    """Write obj as strict JSON (sorted keys, trailing newline) and return the text.
+
+    A non-finite number is a PreconditionError, raised before anything is written.
+    """
+    try:
+        text = json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise PreconditionError(f"{Path(path).name}: report holds a non-finite number ({e})") from e
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_plain(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+    return text
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def write_csv(path: str | Path, header: tuple[str, ...], *columns) -> None:
+    """Header row, then one row per element of the broadcast columns, in C order.
+
+    Each value is the repr of a Python int or float.  Rows are produced one
+    leading-axis slice at a time, so a column given as x[:, None] against p is
+    never materialized as a full meshgrid.
+    """
+    cols = [np.atleast_2d(c) for c in np.broadcast_arrays(*columns)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in zip(*cols):
+            rows = zip(*(b.ravel().tolist() for b in block))
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def write_sampled_csv(
@@ -71,12 +86,8 @@ def write_sampled_csv(
     a reader does not have to re-infer the lattice from the coordinates.
     """
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["index", "coordinate", "re", "im"])
-        vals = np.asarray(sf.values, dtype=complex)
-        for i, (x, v) in enumerate(zip(sf.grid.points, vals)):
-            w.writerow([i, _fmt(x), _fmt(v.real), _fmt(v.imag)])
+    vals = np.asarray(sf.values, dtype=complex)
+    write_csv(path, ("index", "coordinate", "re", "im"), np.arange(sf.grid.n), sf.grid.points, vals.real, vals.imag)
     meta = {
         "kind": kind,
         "grid": {"min": sf.grid.min, "max": sf.grid.max, "n": sf.grid.n},
@@ -126,53 +137,8 @@ def read_sampled_csv(path: str | Path) -> SampledFunction1D:
     return SampledFunction1D(grid, np.array(vals))
 
 
-def write_wigner_csv(path: str | Path, f) -> None:
-    """Long-form (x, p, f) rows, x-major; f is anything with .grid and real .values."""
-    x = f.grid.gx.points
-    p = f.grid.gp.points
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["x", "p", "f"])
-        for i in range(f.grid.gx.n):
-            for j in range(f.grid.gp.n):
-                w.writerow([_fmt(x[i]), _fmt(p[j]), _fmt(f.values[i, j])])
-
-
 def write_matrix_txt(path: str | Path, values: np.ndarray) -> None:
     """Whitespace-separated matrix, one row per line, for plotters."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in np.atleast_2d(values):
-            fh.write(" ".join(_fmt(v) for v in row))
-            fh.write("\n")
-
-
-def write_marginal_csv(path: str | Path, z: np.ndarray, g: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["z", "g"])
-        for zi, gi in zip(z, g):
-            w.writerow([_fmt(zi), _fmt(gi)])
-
-
-def write_complex_grid_csv(
-    path: str | Path, names: tuple[str, str], X: np.ndarray, Y: np.ndarray, vals: np.ndarray
-) -> None:
-    """Complex samples over a 2-D lattice as (x, y, re, im) rows, x-major."""
-    vals = np.asarray(vals, dtype=complex)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow([names[0], names[1], "re", "im"])
-        for i in range(vals.shape[0]):
-            for j in range(vals.shape[1]):
-                w.writerow([_fmt(X[i, j]), _fmt(Y[i, j]), _fmt(vals[i, j].real), _fmt(vals[i, j].imag)])
-
-
-def write_matrix_csv(path: str | Path, M: np.ndarray) -> None:
-    """Complex matrix as (i, j, re, im) rows."""
-    M = np.asarray(M, dtype=complex)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["i", "j", "re", "im"])
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                w.writerow([i, j, _fmt(M[i, j].real), _fmt(M[i, j].imag)])
+        for row in np.atleast_2d(np.asarray(values, dtype=float)):
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")

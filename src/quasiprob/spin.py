@@ -44,7 +44,7 @@ class SpinState:
 
     def __post_init__(self):
         norm = abs(self.c0) ** 2 + abs(self.c1) ** 2
-        if abs(norm - 1.0) > ATOL:
+        if not (abs(norm - 1.0) <= ATOL):
             raise PreconditionError(f"spin state has |c0|^2+|c1|^2 = {norm!r}, expected 1")
 
 
@@ -67,10 +67,10 @@ class SpinQuasiDist:
 
     def __post_init__(self):
         total = self.fpp + self.fpm + self.fmp + self.fmm
-        if abs(total - 1.0) > ATOL:
+        if not (abs(total - 1.0) <= ATOL):
             raise PreconditionError(f"components sum to {total!r}, expected 1")
-        worst = max(abs(r) for r in marginal_residuals(self, self.expZ, self.expX))
-        if worst > ATOL:
+        worst = float(np.max(np.abs(marginal_residuals(self, self.expZ, self.expX))))
+        if not (worst <= ATOL):
             raise PreconditionError(f"marginal equations violated by {worst:.2e}")
 
     @property

@@ -199,8 +199,8 @@ class DirectionAB:
 
     def __post_init__(self):
         r = float(np.hypot(self.a, self.b))
-        if r == 0.0:
-            raise PreconditionError("direction (0, 0) is not allowed")
+        if not (0.0 < r < np.inf):
+            raise PreconditionError(f"direction ({self.a!r}, {self.b!r}) needs a finite nonzero norm")
         object.__setattr__(self, "norm", r)
 
     def canonical(self) -> tuple[float, float]:
@@ -217,10 +217,3 @@ class DirectionAB:
         a, b = self.canonical()
         t = float(np.arctan2(b, a))
         return t if t >= 0 else t + np.pi
-
-    @property
-    def mirror_sign(self) -> float:
-        """+1 if (a,b) already points into the canonical half-circle, else -1."""
-        a, b = self.a / self.norm, self.b / self.norm
-        ca, cb = self.canonical()
-        return 1.0 if (abs(a - ca) < 1e-15 and abs(b - cb) < 1e-15) else -1.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .numerics import Grid1D, Grid2D, SampledFunction2D, quadrature_2d, square_grid
 from .spin import SpinState, feynman_choice, nonneg_window, quasi_family, zx_sum_spectrum_report
-from .states import DEFAULT_GRID, DirectionAB, gaussian_state, oscillator_eigenstate
+from .states import DirectionAB, gaussian_state, oscillator_eigenstate
 from .tomography import (
     direction_residuals,
     find_violated_direction,
@@ -28,9 +28,6 @@ from .tomography import (
 )
 from .weyl import displacement, fock_coefficients, interior_block, oscillator_matrices, symbol, weyl_quantize, weyl_quantize_many
 from .wigner import QuasiDistribution, characteristic_function, negative_volume, wigner_transform
-
-YGRID = Grid1D(-16.0, 16.0, 512)
-
 
 @dataclass(frozen=True)
 class Check:
@@ -128,9 +125,9 @@ def run_verify() -> dict:
     # characteristic function closed forms (ground state, shifted packet)
     probe = np.linspace(-2.0, 2.0, 9)
     A, B = np.meshgrid(probe, probe, indexing="ij")
-    cf = characteristic_function(psi0, A, B, YGRID)
+    cf = characteristic_function(psi0, A, B)
     s.le("charfn-ground-max-dev", float(np.abs(cf - np.exp(-(A**2 + B**2) / 4.0)).max()), 1e-8)
-    cfc = characteristic_function(coh, A, B, YGRID)
+    cfc = characteristic_function(coh, A, B)
     exact = np.exp(-1j * (A * 2.0 + B * 3.0)) * np.exp(-(A**2 + B**2) / 4.0)
     s.le("charfn-coherent-phase-dev", float(np.abs(cfc - exact).max()), 1e-8)
 
@@ -159,7 +156,7 @@ def run_verify() -> dict:
         d = DirectionAB(float(np.cos(th)), float(np.sin(th)))
         for f, psi, zz in ((w0, psi0, zg), (w1, psi1, zg), (wc, coh, zgc)):
             m = marginal_of_quasi(f, d, zz)
-            q = quantum_marginal(psi, d, zz, YGRID)
+            q = quantum_marginal(psi, d, zz)
             worst = max(worst, float(np.abs(m.values - q.values).max()))
     s.le("marginal-match-max", worst, 1e-6)
 
@@ -170,7 +167,7 @@ def run_verify() -> dict:
         for k in range(64):
             th = k * np.pi / 64
             d = DirectionAB(float(np.cos(th)), float(np.sin(th)))
-            margs.append(quantum_marginal(psi, d, zrec, YGRID))
+            margs.append(quantum_marginal(psi, d, zrec))
         rec = reconstruct_from_marginals(margs, mid)
         l2 = float(np.sqrt(np.sum((rec.values - f_ref.values) ** 2) * mid.gx.spacing * mid.gp.spacing))
         s.le(f"reconstruction-{name}-l2", l2, tol)
@@ -178,12 +175,12 @@ def run_verify() -> dict:
     # marginal-preserving modifications: axis-blind, oblique-visible
     axes = [0.0, np.pi / 2]
     rect = rectangle_modification(w0, 1.5, 1.5, 0.05)
-    s.le("tamper-rect-axis-max", float(direction_residuals(rect, psi0, axes, zg, YGRID).max()), 1e-9)
-    _, res = find_violated_direction(rect, psi0, [np.pi / 4], zg, YGRID)
+    s.le("tamper-rect-axis-max", float(direction_residuals(rect, psi0, axes, zg).max()), 1e-9)
+    _, res = find_violated_direction(rect, psi0, [np.pi / 4], zg)
     s.gt("tamper-rect-oblique-residual", res, 1e-3)
     smooth = smooth_modification(w0, 1.0, 1.0, 0.1)
-    s.le("tamper-smooth-axis-max", float(direction_residuals(smooth, psi0, axes, zg, YGRID).max()), 1e-9)
-    _, res = find_violated_direction(smooth, psi0, [np.pi / 4], zg, YGRID)
+    s.le("tamper-smooth-axis-max", float(direction_residuals(smooth, psi0, axes, zg).max()), 1e-9)
+    _, res = find_violated_direction(smooth, psi0, [np.pi / 4], zg)
     s.gt("tamper-smooth-oblique-residual", res, 1e-3)
 
     # symmetric ordering of xp at the matrix level

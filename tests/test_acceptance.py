@@ -4,14 +4,17 @@ Run with -v to get one PASS/FAIL line per criterion; each test also
 prints the measured number next to its tolerance.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import _oracles as oracle
+import quasiprob
 from quasiprob.numerics import Grid1D, square_grid
 from quasiprob.spin import (
     SpinState,
@@ -239,12 +242,16 @@ def test_criterion_09_discrete_negative_volume_exact():
 
 
 def test_criterion_10_verify_subcommand(tmp_path):
+    # the child imports the same quasiprob as this process, installed or not
+    src = str(Path(quasiprob.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "quasiprob", "verify", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, f"verify exited {proc.returncode}:\n{proc.stderr}"

@@ -188,3 +188,46 @@ def test_bad_config_path_errors(capsys, tmp_path):
         ["wigner", "--state", "hermite:0", "--config", str(tmp_path / "none.conf"),
          "--out", str(tmp_path)]
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "--state", "hermite:1", "--xmin", "-6", "--xmax", "6", "--n", "32"],
+        ["charfn", "--state", "gaussian:1,-1,1", "--n", "8"],
+        ["marginal", "--state", "hermite:2", "--theta", "0.785"],
+        ["weyl-check", "--g", "xp", "--state", "hermite:1", "--dim", "12"],
+        ["spin", "--state", "1,0"],
+        ["negativity", "--values", "0.6,-0.1,0.3,-0.0,1e-05"],
+    ],
+)
+def test_stdout_repeats_report_file(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    report = tmp_path / (argv[0].replace("-", "_") + ".json")
+    assert capsys.readouterr().out.encode() == report.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, conf",
+    [
+        (["spin", "--state", "1,0", "--t", "nan"], None),
+        (["spin", "--state", "nan,1"], None),
+        (["negativity", "--values", "nan,1"], None),
+        (["marginal", "--state", "hermite:2", "--theta", "nan"], None),
+        (["marginal", "--state", "hermite:2"], "theta=nan\n"),
+        (["marginal", "--state", "gaussian:0,nan,1", "--theta", "0"], None),
+        (["wigner", "--state", "hermite:0", "--hbar", "inf"], None),
+    ],
+)
+def test_non_finite_input_exits_1(tmp_path, capsys, argv, conf):
+    out = tmp_path / "out"
+    if conf is not None:
+        (tmp_path / "run.conf").write_text(conf)
+        argv = argv + ["--config", str(tmp_path / "run.conf")]
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    for f in out.rglob("*"):
+        assert "nan" not in f.read_text().lower()

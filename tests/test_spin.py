@@ -46,6 +46,13 @@ def test_state_normalization_enforced():
         SpinState(1.0, 1.0)
 
 
+def test_nan_fails_closed():
+    with pytest.raises(PreconditionError):
+        SpinState(np.nan, 1.0)
+    with pytest.raises(PreconditionError):
+        quasi_family(0.0, 0.0, np.nan)
+
+
 def test_family_frozen_values():
     f = quasi_family(1.0, 0.0, 0.0)
     assert f.components == (0.5, 0.5, 0.0, 0.0)

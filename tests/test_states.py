@@ -129,6 +129,12 @@ def test_direction_canonicalization():
         DirectionAB(0.0, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(np.nan, 1.0), (np.inf, 0.0), (1.0, -np.inf)])
+def test_direction_rejects_non_finite_norm(a, b):
+    with pytest.raises(PreconditionError):
+        DirectionAB(a, b)
+
+
 @given(theta=ANGLES)
 @settings(max_examples=50, deadline=None)
 def test_direction_theta_roundtrip(theta):
