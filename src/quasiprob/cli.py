@@ -378,7 +378,8 @@ def cmd_tamper(o: dict) -> dict:
 def cmd_weyl_check(o: dict) -> dict:
     psi = parse_state(o["state"], o["hbar"])
     g = symbol(o["g"])
-    lhs, rhs, diff = moyal_expectation_check(g, psi, o["dim"])
+    M = weyl_quantize(g, o["dim"], hbar=psi.hbar)
+    lhs, rhs, diff = moyal_expectation_check(g, psi, M)
     report = {
         "kind": "weyl-check",
         "state": o["state"],
@@ -390,7 +391,6 @@ def cmd_weyl_check(o: dict) -> dict:
         "diff": diff,
     }
     if o["dump_matrix"]:
-        M = weyl_quantize(g, o["dim"], hbar=o["hbar"])
         k = np.arange(M.shape[0])
         write_csv(Path(o["out"]) / "weyl_matrix.csv", ("i", "j", "re", "im"), k[:, None], k, M.real, M.imag)
     return report

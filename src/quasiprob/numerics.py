@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -146,7 +145,7 @@ def ft_core(values: np.ndarray, src: Grid1D, dst: Grid1D, sign: int, axis: int =
     shape[axis] = n
     pre = np.exp(sign * 1j * dst.min * (s - src.min)).reshape(shape)
     post = np.exp(sign * 1j * y * src.min).reshape(shape)
-    core = fft(v * pre, axis=axis) if sign < 0 else ifft(v * pre, axis=axis) * n
+    core = np.fft.fft(v * pre, axis=axis) if sign < 0 else np.fft.ifft(v * pre, axis=axis) * n
     return (src.spacing / SQRT2PI) * post * core
 
 

@@ -112,21 +112,25 @@ def read_sampled_csv(path: str | Path) -> SampledFunction1D:
             for row in rows:
                 if not row:
                     continue
-                coords.append(float(row[1]))
-                vals.append(complex(float(row[2]), float(row[3])))
+                _, z, re, im = row[:4]  # a short row fails to unpack (ValueError)
+                coords.append(float(z))
+                vals.append(complex(float(re), float(im)))
     except OSError as e:
         raise PreconditionError(f"cannot read {path}: {e}") from e
-    except ValueError as e:
+    except (ValueError, csv.Error) as e:
         raise PreconditionError(f"{path}: malformed sample row: {e}") from e
     if len(coords) < 2:
         raise PreconditionError(f"{path}: need at least 2 samples, got {len(coords)}")
 
     sidecar = path.with_suffix(path.suffix + ".json")
     if sidecar.exists():
-        with open(sidecar, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        g = meta.get("grid", {})
-        grid = Grid1D(float(g["min"]), float(g["max"]), int(g["n"]))
+        try:
+            with open(sidecar, encoding="utf-8") as fh:
+                g = json.load(fh)["grid"]
+            lo, hi, n = float(g["min"]), float(g["max"]), int(g["n"])
+        except (OSError, ValueError, LookupError, TypeError, OverflowError) as e:
+            raise PreconditionError(f"{sidecar}: need JSON with grid.min, grid.max and integer grid.n ({e!r})") from e
+        grid = Grid1D(lo, hi, n)
     else:
         dx = coords[1] - coords[0]
         grid = Grid1D(coords[0], coords[0] + dx * len(coords), len(coords))

@@ -24,6 +24,9 @@ from .numerics import Grid1D, Grid2D, PreconditionError, SQRT2PI, ft_core
 from .states import DirectionAB, WaveFunction
 from .wigner import QuasiDistribution, characteristic_function
 
+#: Marginal points per interpolation batch in marginal_of_quasi.
+CHUNK = 64
+
 
 @dataclass(frozen=True)
 class Marginal:
@@ -43,9 +46,7 @@ def _check_marginal_norm(values: np.ndarray, dz: float, what: str) -> None:
         warnings.warn(f"{what}: marginal integrates to {total:.8f}, not 1", stacklevel=3)
 
 
-def marginal_of_quasi(
-    f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D, chunk: int = 64
-) -> Marginal:
+def marginal_of_quasi(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D) -> Marginal:
     """Line-integral marginal of f along z = a x + b p.
 
     For |b| >= |a| integrates over x with band-limited interpolation of f in
@@ -60,19 +61,19 @@ def marginal_of_quasi(
     z = zgrid.points
     vals = np.empty(zgrid.n)
     if abs(b) >= abs(a):
-        for i in range(0, zgrid.n, chunk):
-            zc = z[i : i + chunk, None]
+        for i in range(0, zgrid.n, CHUNK):
+            zc = z[i : i + CHUNK, None]
             pstar = (zc - a * x[None, :]) / b  # (j, k)
             w = np.sinc((pstar[:, :, None] - p[None, None, :]) / gp.spacing)
             rows = np.einsum("km,jkm->jk", f.values, w)
-            vals[i : i + chunk] = np.trapezoid(rows, dx=gx.spacing, axis=1) / abs(b)
+            vals[i : i + CHUNK] = np.trapezoid(rows, dx=gx.spacing, axis=1) / abs(b)
     else:
-        for i in range(0, zgrid.n, chunk):
-            zc = z[i : i + chunk, None]
+        for i in range(0, zgrid.n, CHUNK):
+            zc = z[i : i + CHUNK, None]
             xstar = (zc - b * p[None, :]) / a  # (j, m)
             w = np.sinc((xstar[:, :, None] - x[None, None, :]) / gx.spacing)
             rows = np.einsum("km,jmk->jm", f.values, w)
-            vals[i : i + chunk] = np.trapezoid(rows, dx=gp.spacing, axis=1) / abs(a)
+            vals[i : i + CHUNK] = np.trapezoid(rows, dx=gp.spacing, axis=1) / abs(a)
     peak = np.abs(vals).max()
     # discontinuous payloads ring at ~1e-6 relative through the band-limited
     # lookup; genuine clipping also fails the norm check below

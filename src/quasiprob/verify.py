@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numerics import Grid1D, Grid2D, SampledFunction2D, quadrature_2d, square_grid
+from .numerics import Grid1D, Grid2D, square_grid
 from .spin import SpinState, feynman_choice, nonneg_window, quasi_family, zx_sum_spectrum_report
 from .states import DirectionAB, gaussian_state, oscillator_eigenstate
 from .tomography import (
@@ -26,7 +26,7 @@ from .tomography import (
     smooth_modification,
     verify_j2m,
 )
-from .weyl import displacement, fock_coefficients, interior_block, oscillator_matrices, symbol, weyl_quantize, weyl_quantize_many
+from .weyl import displacement, interior_block, moyal_expectation_check, oscillator_matrices, symbol, weyl_quantize, weyl_quantize_many
 from .wigner import QuasiDistribution, characteristic_function, negative_volume, wigner_transform
 
 @dataclass(frozen=True)
@@ -62,23 +62,16 @@ def moyal_table(N: int = 64) -> list[tuple[str, str, float, float, float]]:
     syms = polys + [symbol("gauss")]
     mats = weyl_quantize_many(polys, N)
     mats.append(weyl_quantize(syms[-1], N))
-
-    pg = square_grid(-12.0, 12.0, 192)
-    X, P = pg.meshgrid()
     states = [
         ("ground", oscillator_eigenstate(0)),
         ("excited", oscillator_eigenstate(1)),
         ("coherent(2,3)", gaussian_state(2.0, 3.0, 1.0)),
     ]
-    out = []
-    for sname, psi in states:
-        c = fock_coefficients(psi, N)
-        f = wigner_transform(psi, pg)
-        for s, G in zip(syms, mats):
-            lhs = float(np.real(np.conj(c) @ (G @ c)))
-            rhs = float(quadrature_2d(SampledFunction2D(pg, s.evaluate(X, P) * f.values)).real)
-            out.append((s.label, sname, lhs, rhs, abs(lhs - rhs)))
-    return out
+    return [
+        (s.label, sname, *moyal_expectation_check(s, psi, G))
+        for sname, psi in states
+        for s, G in zip(syms, mats)
+    ]
 
 
 def _bump_distribution(grid: Grid2D) -> QuasiDistribution:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .numerics import (
     Grid1D,
@@ -46,8 +45,17 @@ DEFAULT_EPS = 1e-9
 #: Phase-space quadrature grid for the Gaussian symbol (dual window ~ +-12.6).
 GAUSS_GRID = square_grid(-24.0, 24.0, 192)
 
-#: Truncation default; interior-block comparisons use indices < N/2.
-DEFAULT_DIM = 64
+#: Quadrature nodes with |ghat| below PRUNE * max|ghat| are dropped.
+PRUNE = 1e-15
+
+#: Quadrature nodes per batch in weyl_quantize_many.
+CHUNK = 512
+
+#: Largest interior residual the split cross-check in displacement accepts.
+DISPLACEMENT_TOL = 1e-6
+
+#: Phase-space grid of the quadrature side of moyal_expectation_check.
+MOYAL_GRID = square_grid(-12.0, 12.0, 192)
 
 
 @dataclass(frozen=True)
@@ -119,31 +127,31 @@ def oscillator_matrices(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarr
     return X, P
 
 
-def displacement(
-    alpha: float,
-    beta: float,
-    N: int,
-    hbar: float = 1.0,
-    check: bool = True,
-    threshold: float = 1e-6,
-) -> np.ndarray:
-    """e^{i(alpha X + beta P)} as an N x N matrix (Pade/scaling-squaring).
+def _expi(H: np.ndarray) -> np.ndarray:
+    """e^{iH} for Hermitian H, from its eigendecomposition H = V diag(lam) V^dag."""
+    lam, V = np.linalg.eigh(H)
+    return (V * np.exp(1j * lam)) @ V.conj().T
+
+
+def displacement(alpha: float, beta: float, N: int, hbar: float = 1.0, check: bool = True) -> np.ndarray:
+    """e^{i(alpha X + beta P)} as an N x N matrix, exponentiated in the
+    eigenbasis of the Hermitian generator alpha X + beta P.
 
     Cross-checked against the scalar-commutator split
     e^{i alpha X} e^{i beta P} e^{+i alpha beta hbar/2} on the interior block
     (indices < N/2), where the two routes differ only by truncation leakage;
-    a residual above threshold means N is too small for this (alpha, beta).
+    a residual above DISPLACEMENT_TOL means N is too small for this (alpha, beta).
     """
     X, P = oscillator_matrices(N, hbar)
-    D = expm(1j * (alpha * X + beta * P))
+    D = _expi(alpha * X + beta * P)
     if check:
-        split = expm(1j * alpha * X) @ expm(1j * beta * P) * np.exp(1j * alpha * beta * hbar / 2)
+        split = _expi(alpha * X) @ _expi(beta * P) * np.exp(1j * alpha * beta * hbar / 2)
         h = N // 2
         resid = float(np.abs((D - split)[:h, :h]).max())
-        if resid > threshold:
+        if resid > DISPLACEMENT_TOL:
             raise PreconditionError(
                 f"displacement({alpha}, {beta}): interior cross-check residual "
-                f"{resid:.2e} above {threshold:.0e}; increase N"
+                f"{resid:.2e} above {DISPLACEMENT_TOL:.0e}; increase N"
             )
     return D
 
@@ -170,15 +178,10 @@ def _ghat_on_dual(g: PhaseSpaceFunction, grid: Grid2D) -> np.ndarray:
 
 
 def weyl_quantize(
-    g: PhaseSpaceFunction,
-    N: int,
-    grid: Grid2D | None = None,
-    hbar: float = 1.0,
-    prune: float = 1e-15,
-    chunk: int = 512,
+    g: PhaseSpaceFunction, N: int, grid: Grid2D | None = None, hbar: float = 1.0
 ) -> np.ndarray:
     """Quantize one symbol; see weyl_quantize_many for the quadrature core."""
-    return weyl_quantize_many([g], N, grid, hbar, prune, chunk)[0]
+    return weyl_quantize_many([g], N, grid, hbar)[0]
 
 
 def weyl_quantize_many(
@@ -186,13 +189,11 @@ def weyl_quantize_many(
     N: int,
     grid: Grid2D | None = None,
     hbar: float = 1.0,
-    prune: float = 1e-15,
-    chunk: int = 512,
 ) -> list[np.ndarray]:
     """Quantize symbols sharing one quadrature grid, reusing the displacement
-    factors across symbols.  Nodes with |ghat| below prune * max are dropped;
-    summation order is fixed (row-major nodes, sequential chunks), so results
-    are bit-reproducible.
+    factors across symbols.  Nodes with |ghat| below PRUNE * max are dropped;
+    summation order is fixed (row-major nodes, sequential chunks of CHUNK), so
+    results are bit-reproducible.
     """
     if grid is None:
         owned = {s.quad_grid for s in symbols}
@@ -205,7 +206,7 @@ def weyl_quantize_many(
     ghs = [_ghat_on_dual(s, grid) for s in symbols]
     union = np.zeros(A.shape, dtype=bool)
     for gh in ghs:
-        union |= np.abs(gh) > prune * np.abs(gh).max()
+        union |= np.abs(gh) > PRUNE * np.abs(gh).max()
     a, b = A[union], B[union]
     cell = dual.gx.spacing * dual.gp.spacing / (2 * np.pi)
     weights = [gh[union] * cell for gh in ghs]
@@ -216,14 +217,14 @@ def weyl_quantize_many(
     lam, V = np.linalg.eigh(Xm.real)
     k = np.arange(N)
     out = [np.zeros((N, N), dtype=complex) for _ in symbols]
-    for i0 in range(0, r.size, chunk):
-        rc, pc = r[i0 : i0 + chunk], phi[i0 : i0 + chunk]
+    for i0 in range(0, r.size, CHUNK):
+        rc, pc = r[i0 : i0 + CHUNK], phi[i0 : i0 + CHUNK]
         U = np.exp(1j * np.outer(pc, k))
         Ph = np.exp(1j * np.outer(rc, lam))
         E = np.einsum("jl,cl,kl->cjk", V, Ph, V, optimize=True)
         UE = np.einsum("cj,cjk,ck->cjk", U, E, np.conj(U), optimize=True)
         for s in range(len(symbols)):
-            out[s] += np.einsum("c,cjk->jk", weights[s][i0 : i0 + chunk], UE, optimize=True)
+            out[s] += np.einsum("c,cjk->jk", weights[s][i0 : i0 + CHUNK], UE, optimize=True)
     return out
 
 
@@ -254,29 +255,27 @@ def fock_coefficients(
 
 
 def moyal_expectation_check(
-    g: PhaseSpaceFunction,
-    psi: WaveFunction,
-    N: int = DEFAULT_DIM,
-    phase_grid: Grid2D | None = None,
-    ygrid: Grid1D | None = None,
+    g: PhaseSpaceFunction, psi: WaveFunction, G: np.ndarray
 ) -> tuple[float, float, float]:
     """Both sides of <psi| g(X,P) |psi> = integral g * f and their gap.
 
-    Left: quantize g and sandwich with the state's oscillator coefficients
-    (their tail beyond N must carry less than 1e-10 of the norm).  Right:
-    quadrature of g against the state's quasi-distribution.
+    Left: sandwich G, the N x N quantization of g at psi's hbar, with the
+    state's oscillator coefficients (their tail beyond N must carry less
+    than 1e-10 of the norm).  The caller quantizes, so symbols sharing a
+    quadrature grid can be quantized in one weyl_quantize_many batch.
+    Right: quadrature of g against the state's quasi-distribution on
+    MOYAL_GRID.
     """
-    c = fock_coefficients(psi, N, ygrid)
+    N = G.shape[0]
+    c = fock_coefficients(psi, N)
     tail = 1.0 - float(np.sum(np.abs(c) ** 2))
     if tail > 1e-10:
         raise PreconditionError(
             f"state's coefficient tail beyond N={N} is {tail:.2e} (> 1e-10); increase N"
         )
-    G = weyl_quantize(g, N, hbar=psi.hbar)
     lhs = float(np.real(np.conj(c) @ G @ c))
 
-    pg = phase_grid if phase_grid is not None else square_grid(-12.0, 12.0, 192)
-    f = wigner_transform(psi, pg)
-    X, P = pg.meshgrid()
-    rhs = float(quadrature_2d(SampledFunction2D(pg, g.evaluate(X, P) * f.values)).real)
+    f = wigner_transform(psi, MOYAL_GRID)
+    X, P = MOYAL_GRID.meshgrid()
+    rhs = float(quadrature_2d(SampledFunction2D(MOYAL_GRID, g.evaluate(X, P) * f.values)).real)
     return lhs, rhs, abs(lhs - rhs)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import quasiprob
 from quasiprob.cli import main
 from quasiprob.serial import load_schema, write_sampled_csv
 from quasiprob.numerics import Grid1D, SampledFunction1D
@@ -169,6 +174,42 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_bad_state_file_is_precondition_error(capsys, tmp_path):
     assert main(["wigner", "--state", "file:/absent.csv", "--out", str(tmp_path)]) == 1
+
+
+SAMPLE_ROWS = "".join(f"{i},{-4.0 + 0.5 * i},0.1,0.0\n" for i in range(16))
+
+
+@pytest.mark.parametrize(
+    "rows,sidecar",
+    [
+        ("0,-4.0,0.1\n" + SAMPLE_ROWS, None),  # a row with 3 fields
+        ("0," + "1" * 200000 + ",0.1,0.0\n" + SAMPLE_ROWS, None),  # field above csv's limit
+        (SAMPLE_ROWS, "{not json"),
+        (SAMPLE_ROWS, '{"grid": {"min": -4.0, "n": 16}}'),
+        (SAMPLE_ROWS, '{"grid": {"min": -4.0, "max": 4.0, "n": "sixteen"}}'),
+    ],
+    ids=["short-row", "huge-field", "sidecar-not-json", "sidecar-no-max", "sidecar-n-not-int"],
+)
+def test_malformed_state_file_exits_1(tmp_path, capsys, rows, sidecar):
+    path = tmp_path / "state.csv"
+    path.write_text("index,coordinate,re,im\n" + rows)
+    if sidecar is not None:
+        (tmp_path / "state.csv.json").write_text(sidecar)
+    code = main(["marginal", "--state", f"file:{path}", "--theta", "0.3", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as a reference
+    src = str(Path(quasiprob.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, quasiprob.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_negativity_requires_exactly_one_source(capsys, tmp_path):

@@ -104,6 +104,19 @@ def test_displacement_is_unitary_inside():
     assert np.max(np.abs(G - np.eye(32))) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,hbar,n",
+    [(-1.0, -1.0, 1.0, 64), (0.7, -1.3, 1.0, 32), (2.0, 0.5, 0.5, 48), (-0.3, 1.7, 2.0, 40)],
+)
+def test_displacement_matches_scipy_expm(alpha, beta, hbar, n):
+    # scipy's Pade exponential is the reference for the eigendecomposition route
+    from scipy.linalg import expm
+
+    X, P = oscillator_matrices(n, hbar)
+    ref = expm(1j * (alpha * X + beta * P))
+    assert np.max(np.abs(displacement(alpha, beta, n, hbar, check=False) - ref)) < 1e-12
+
+
 def test_displacement_split_check_runs():
     # the cross-check against the ordered-product construction is on by
     # default and must not trip for moderate arguments
@@ -132,15 +145,23 @@ def test_fock_coefficients_of_eigenstate():
 
 
 def test_moyal_check_gauss_ground(ground):
-    lhs, rhs, diff = moyal_expectation_check(symbol("gauss"), ground, N=48)
+    g = symbol("gauss")
+    lhs, rhs, diff = moyal_expectation_check(g, ground, weyl_quantize(g, N))
     assert rhs == pytest.approx(oracle.MOYAL_GAUSS_GROUND, abs=1e-9)
     assert diff < 1e-5
 
 
 def test_moyal_check_xp_ground(ground):
-    lhs, rhs, diff = moyal_expectation_check(symbol("xp"), ground, N=48)
+    g = symbol("xp")
+    lhs, rhs, diff = moyal_expectation_check(g, ground, weyl_quantize(g, N))
     assert abs(rhs) < 1e-9
     assert diff < 1e-6
+
+
+def test_moyal_check_rejects_fock_tail():
+    # hermite:20 has no weight below N=16; the tail check fires before G is used
+    with pytest.raises(PreconditionError, match="tail"):
+        moyal_expectation_check(symbol("x"), oscillator_eigenstate(20), np.zeros((16, 16)))
 
 
 def test_unknown_symbol_rejected():
