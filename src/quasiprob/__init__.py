@@ -62,7 +62,6 @@ from .weyl import (
     oscillator_matrices,
     symbol,
     weyl_quantize,
-    weyl_quantize_many,
 )
 from .wigner import (
     CharacteristicFunction,

@@ -117,6 +117,8 @@ def read_sampled_csv(path: str | Path) -> SampledFunction1D:
                 vals.append(complex(float(re), float(im)))
     except OSError as e:
         raise PreconditionError(f"cannot read {path}: {e}") from e
+    except PreconditionError:  # the header check's own message
+        raise
     except (ValueError, csv.Error) as e:
         raise PreconditionError(f"{path}: malformed sample row: {e}") from e
     if len(coords) < 2:

@@ -26,7 +26,7 @@ from .tomography import (
     smooth_modification,
     verify_j2m,
 )
-from .weyl import displacement, interior_block, moyal_expectation_check, oscillator_matrices, symbol, weyl_quantize, weyl_quantize_many
+from .weyl import displacement, interior_block, moyal_expectation_check, oscillator_matrices, symbol, weyl_quantize
 from .wigner import QuasiDistribution, characteristic_function, negative_volume, wigner_transform
 
 @dataclass(frozen=True)
@@ -52,16 +52,10 @@ class _Suite:
 
 
 def moyal_table(N: int = 64) -> list[tuple[str, str, float, float, float]]:
-    """(symbol, state, lhs, rhs, |lhs-rhs|) for the six-symbol, three-state set.
-
-    The five polynomial symbols share one quadrature grid, so their operator
-    matrices come from a single batched quantization; the Gaussian symbol has
-    its own grid.
-    """
-    polys = [symbol(n) for n in ("x", "p", "x2", "p2", "xp")]
-    syms = polys + [symbol("gauss")]
-    mats = weyl_quantize_many(polys, N)
-    mats.append(weyl_quantize(syms[-1], N))
+    """(symbol, state, lhs, rhs, |lhs-rhs|) for the six-symbol, three-state set;
+    each symbol is quantized once and its matrix serves all three states."""
+    syms = [symbol(n) for n in ("x", "p", "x2", "p2", "xp", "gauss")]
+    mats = [weyl_quantize(s, N) for s in syms]
     states = [
         ("ground", oscillator_eigenstate(0)),
         ("excited", oscillator_eigenstate(1)),

@@ -9,30 +9,30 @@ with ghat the unitary 2-D transform of g.  Polynomial symbols have
 distributional transforms; they are regularized by Gaussian damping
 g * e^{-eps (x^2+p^2)}, whose transform is closed-form.  The damping bias on
 the quantized matrix grows linearly in eps while the quadrature's rounding
-floor grows as eps shrinks (the weights scale like 1/eps); eps = 1e-9 sits at
+floor grows as eps shrinks (the weights scale like 1/eps); EPS = 1e-9 sits at
 the measured optimum, giving interior-block errors ~3e-7 at N = 32.
 
 Each quadrature node needs e^{i(aX+bP)}.  In polar form (a, b) =
 r (cos phi, sin phi) the truncated pair satisfies the exact rotation identity
 cos(phi) X + sin(phi) P = U_phi X U_phi^dag with U_phi = diag(e^{i k phi}),
 so a single eigendecomposition X = V diag(lam) V^T serves every node:
-e^{i(aX+bP)} = U_phi V e^{i r lam} V^T U_phi^dag.
+e^{i(aX+bP)} = U_phi V e^{i r lam} V^T U_phi^dag.  Summed over the nodes this
+is the displacement-sum identity G_jk = sum_l V_jl V_kl M[j-k, l], where
+M[d, l] = sum_nodes w e^{i d phi} e^{i r lam_l} is a single matrix product.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .numerics import (
-    Grid1D,
     Grid2D,
     PreconditionError,
     SampledFunction2D,
-    fourier_forward_2d,
     quadrature_2d,
     square_grid,
 )
@@ -40,15 +40,19 @@ from .states import DEFAULT_GRID, WaveFunction, hermite_functions
 from .wigner import wigner_transform
 
 #: Damping rate for polynomial symbols; see the module docstring.
-DEFAULT_EPS = 1e-9
+EPS = 1e-9
 
 #: Phase-space quadrature grid for the Gaussian symbol (dual window ~ +-12.6).
 GAUSS_GRID = square_grid(-24.0, 24.0, 192)
 
+#: Quadrature grid for the damped polynomials: the dual window must extend to
+#: ~30 sqrt(EPS) so the Gaussian tail beats the 1/EPS^2 transform prefactor.
+POLYNOMIAL_GRID = square_grid(-np.sqrt(46.0 / EPS), np.sqrt(46.0 / EPS), 128)
+
 #: Quadrature nodes with |ghat| below PRUNE * max|ghat| are dropped.
 PRUNE = 1e-15
 
-#: Quadrature nodes per batch in weyl_quantize_many.
+#: Quadrature nodes per matrix-product chunk in weyl_quantize.
 CHUNK = 512
 
 #: Largest interior residual the split cross-check in displacement accepts.
@@ -60,23 +64,17 @@ MOYAL_GRID = square_grid(-12.0, 12.0, 192)
 
 @dataclass(frozen=True)
 class PhaseSpaceFunction:
-    """Real symbol g(x, p) with an optional closed-form transform ghat(a, b)."""
+    """Real symbol g(x, p), its closed-form transform ghat(a, b), and the
+    phase-space grid whose dual lattice carries the quantization quadrature."""
 
     label: str
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    transform: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    quad_grid: Grid2D | None = None
+    transform: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    quad_grid: Grid2D
 
 
-def polynomial_grid(eps: float, n: int = 128) -> Grid2D:
-    """Quadrature grid for damped monomials: the dual window must extend to
-    ~30 sqrt(eps) so the Gaussian tail beats the 1/eps^2 transform prefactor."""
-    L = np.sqrt(46.0 / eps)
-    return square_grid(-L, L, n)
-
-
-def symbol(name: str, eps: float = DEFAULT_EPS) -> PhaseSpaceFunction:
-    """Library symbols: x, p, x2, p2, xp, x2p2 (damped by e^{-eps r^2}) and
+def symbol(name: str) -> PhaseSpaceFunction:
+    """Library symbols: x, p, x2, p2, xp, x2p2 (damped by e^{-EPS r^2}) and
     gauss = e^{-x^2-p^2} (no damping needed)."""
     if name == "gauss":
         return PhaseSpaceFunction(
@@ -87,15 +85,15 @@ def symbol(name: str, eps: float = DEFAULT_EPS) -> PhaseSpaceFunction:
         )
 
     def G(t):
-        return np.exp(-(t**2) / (4.0 * eps)) / np.sqrt(2.0 * eps)
+        return np.exp(-(t**2) / (4.0 * EPS)) / np.sqrt(2.0 * EPS)
 
     def dG(t):  # transform of u * e^{-eps u^2} over the plain Gaussian's
-        return (-1j * t / (2.0 * eps)) * G(t)
+        return (-1j * t / (2.0 * EPS)) * G(t)
 
     def d2G(t):  # transform of u^2 * e^{-eps u^2}
-        return (1.0 / (2.0 * eps) - t**2 / (4.0 * eps**2)) * G(t)
+        return (1.0 / (2.0 * EPS) - t**2 / (4.0 * EPS**2)) * G(t)
 
-    damp = lambda x, p: np.exp(-eps * (x**2 + p**2))
+    damp = lambda x, p: np.exp(-EPS * (x**2 + p**2))
     table: dict[str, tuple[Callable, Callable]] = {
         "x": (lambda x, p: x * damp(x, p), lambda a, b: dG(a) * G(b)),
         "p": (lambda x, p: p * damp(x, p), lambda a, b: G(a) * dG(b)),
@@ -110,7 +108,7 @@ def symbol(name: str, eps: float = DEFAULT_EPS) -> PhaseSpaceFunction:
     if name not in table:
         raise PreconditionError(f"unknown symbol {name!r} (have x, p, x2, p2, xp, x2p2, gauss)")
     ev, tr = table[name]
-    return PhaseSpaceFunction(name, ev, tr, polynomial_grid(eps))
+    return PhaseSpaceFunction(name, ev, tr, POLYNOMIAL_GRID)
 
 
 def oscillator_matrices(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -156,15 +154,19 @@ def displacement(alpha: float, beta: float, N: int, hbar: float = 1.0, check: bo
     return D
 
 
-def _ghat_on_dual(g: PhaseSpaceFunction, grid: Grid2D) -> np.ndarray:
-    """ghat sampled on the dual lattice, closed-form or via the 2-D transform."""
-    dual = grid.dual()
-    if g.transform is not None:
-        A, B = dual.meshgrid()
-        gh = g.transform(A, B)
-    else:
-        X, P = grid.meshgrid()
-        gh = fourier_forward_2d(SampledFunction2D(grid, g.evaluate(X, P).astype(complex))).values
+def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarray:
+    """Quantize one symbol on its quadrature grid by the displacement-sum identity.
+
+    Nodes of the dual lattice with |ghat| below PRUNE * max|ghat| are dropped.
+    With X = V diag(lam) V^T, node (r, phi) of weight w contributes
+    w e^{i(j-k) phi} sum_l V_jl V_kl e^{i r lam_l} to entry (j, k), so
+    G_jk = sum_l V_jl V_kl M[j-k, l] with M = (e^{i d phi} w) @ e^{i r lam},
+    one (2N-1) x nodes by nodes x N product accumulated CHUNK nodes at a time.
+    Results are bit-reproducible for a fixed BLAS build and thread count.
+    """
+    dual = g.quad_grid.dual()
+    A, B = dual.meshgrid()
+    gh = g.transform(A, B)
     mags = np.abs(gh)
     peak = mags.max()
     edge = max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max())
@@ -172,60 +174,22 @@ def _ghat_on_dual(g: PhaseSpaceFunction, grid: Grid2D) -> np.ndarray:
         warnings.warn(
             f"weyl_quantize[{g.label}]: ghat not decayed on the dual window "
             f"(edge/max = {edge / peak:.2e}); enlarge the grid",
-            stacklevel=3,
+            stacklevel=2,
         )
-    return gh
+    keep = mags > PRUNE * peak
+    w = gh[keep] * (dual.gx.spacing * dual.gp.spacing / (2 * np.pi))
+    r = np.hypot(A[keep], B[keep])
+    phi = np.arctan2(B[keep], A[keep])
 
-
-def weyl_quantize(
-    g: PhaseSpaceFunction, N: int, grid: Grid2D | None = None, hbar: float = 1.0
-) -> np.ndarray:
-    """Quantize one symbol; see weyl_quantize_many for the quadrature core."""
-    return weyl_quantize_many([g], N, grid, hbar)[0]
-
-
-def weyl_quantize_many(
-    symbols: Sequence[PhaseSpaceFunction],
-    N: int,
-    grid: Grid2D | None = None,
-    hbar: float = 1.0,
-) -> list[np.ndarray]:
-    """Quantize symbols sharing one quadrature grid, reusing the displacement
-    factors across symbols.  Nodes with |ghat| below PRUNE * max are dropped;
-    summation order is fixed (row-major nodes, sequential chunks of CHUNK), so
-    results are bit-reproducible.
-    """
-    if grid is None:
-        owned = {s.quad_grid for s in symbols}
-        if len(owned) != 1 or None in owned:
-            raise PreconditionError("symbols disagree on the quadrature grid; pass one explicitly")
-        grid = owned.pop()
-
-    dual = grid.dual()
-    A, B = dual.meshgrid()
-    ghs = [_ghat_on_dual(s, grid) for s in symbols]
-    union = np.zeros(A.shape, dtype=bool)
-    for gh in ghs:
-        union |= np.abs(gh) > PRUNE * np.abs(gh).max()
-    a, b = A[union], B[union]
-    cell = dual.gx.spacing * dual.gp.spacing / (2 * np.pi)
-    weights = [gh[union] * cell for gh in ghs]
-
-    r = np.hypot(a, b)
-    phi = np.arctan2(b, a)
     Xm, _ = oscillator_matrices(N, hbar)
     lam, V = np.linalg.eigh(Xm.real)
-    k = np.arange(N)
-    out = [np.zeros((N, N), dtype=complex) for _ in symbols]
+    d = np.arange(1 - N, N)
+    M = np.zeros((2 * N - 1, N), dtype=complex)
     for i0 in range(0, r.size, CHUNK):
-        rc, pc = r[i0 : i0 + CHUNK], phi[i0 : i0 + CHUNK]
-        U = np.exp(1j * np.outer(pc, k))
-        Ph = np.exp(1j * np.outer(rc, lam))
-        E = np.einsum("jl,cl,kl->cjk", V, Ph, V, optimize=True)
-        UE = np.einsum("cj,cjk,ck->cjk", U, E, np.conj(U), optimize=True)
-        for s in range(len(symbols)):
-            out[s] += np.einsum("c,cjk->jk", weights[s][i0 : i0 + CHUNK], UE, optimize=True)
-    return out
+        c = slice(i0, i0 + CHUNK)
+        M += (np.exp(1j * np.outer(d, phi[c])) * w[c]) @ np.exp(1j * np.outer(r[c], lam))
+    k = np.arange(N)
+    return np.einsum("jl,kl,jkl->jk", V, V, M[k[:, None] - k + N - 1])
 
 
 def hermiticity_residual(M: np.ndarray) -> float:
@@ -242,11 +206,9 @@ def interior_trace(M: np.ndarray) -> complex:
     return complex(np.trace(M[:h, :h]))
 
 
-def fock_coefficients(
-    psi: WaveFunction, N: int, grid: Grid1D | None = None
-) -> np.ndarray:
-    """Oscillator-basis coefficients c_n = <n|psi>, n < N, by quadrature."""
-    g = grid if grid is not None else DEFAULT_GRID
+def fock_coefficients(psi: WaveFunction, N: int) -> np.ndarray:
+    """Oscillator-basis coefficients c_n = <n|psi>, n < N, by quadrature on DEFAULT_GRID."""
+    g = DEFAULT_GRID
     s = np.sqrt(psi.hbar)
     H = hermite_functions(N - 1, g.points / s) / np.sqrt(s)
     w = np.full(g.n, g.spacing)
@@ -261,8 +223,8 @@ def moyal_expectation_check(
 
     Left: sandwich G, the N x N quantization of g at psi's hbar, with the
     state's oscillator coefficients (their tail beyond N must carry less
-    than 1e-10 of the norm).  The caller quantizes, so symbols sharing a
-    quadrature grid can be quantized in one weyl_quantize_many batch.
+    than 1e-10 of the norm).  The caller quantizes, so verify reuses one
+    matrix for three states and weyl-check dumps the matrix it checked.
     Right: quadrature of g against the state's quasi-distribution on
     MOYAL_GRID.
     """

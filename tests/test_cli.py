@@ -140,6 +140,13 @@ def test_byte_identical_rerun(tmp_path, capsys):
     ja = json.loads((tmp_path / "a" / "wigner.json").read_text())
     jb = json.loads((tmp_path / "b" / "wigner.json").read_text())
     assert ja == jb
+    # at a fixed BLAS thread count the quantization's reduction order is fixed,
+    # so reruns match bit for bit
+    args = ["weyl-check", "--g", "gauss", "--state", "hermite:0", "--dim", "20", "--dump-matrix"]
+    run(args + ["--out", str(tmp_path / "c")], capsys)
+    run(args + ["--out", str(tmp_path / "d")], capsys)
+    for name in ("weyl_matrix.csv", "weyl_check.json"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
 
 
 def test_config_file_precedence(tmp_path, capsys):

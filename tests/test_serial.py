@@ -55,8 +55,9 @@ def test_sampled_csv_roundtrip_without_sidecar(tmp_path):
 def test_read_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as err:
         read_sampled_csv(path)
+    assert str(err.value) == f"{path}: expected header index,coordinate,re,im"
 
 
 def test_read_rejects_missing_file(tmp_path):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from quasiprob.numerics import PreconditionError
+from quasiprob.numerics import PreconditionError, square_grid
 from quasiprob.states import gaussian_state, oscillator_eigenstate
 from quasiprob.weyl import (
+    PRUNE,
+    PhaseSpaceFunction,
     displacement,
     fock_coefficients,
     hermiticity_residual,
@@ -14,7 +16,6 @@ from quasiprob.weyl import (
     oscillator_matrices,
     symbol,
     weyl_quantize,
-    weyl_quantize_many,
 )
 
 N = 48
@@ -68,17 +69,24 @@ def test_quantize_gauss_is_ground_projector():
     assert np.max(np.abs(M[:12, :12] - ref[:12, :12])) < 1e-9
 
 
-def test_quantize_many_matches_single():
-    # a batch shares one pruned node set; a lone symbol prunes against its
-    # own peak, so the two quadratures differ at the tail-noise level
-    syms = [symbol("x"), symbol("p2"), symbol("xp")]
-    many = weyl_quantize_many(syms, N)
-    for g, M in zip(syms, many):
-        single = weyl_quantize(g, N)
-        assert np.max(np.abs(M - single)) < 2e-6
-    # a single-element batch is the same computation bit for bit
-    lone = weyl_quantize_many([symbol("p2")], N)[0]
-    assert np.array_equal(lone, weyl_quantize(symbol("p2"), N))
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+def test_quantize_matches_direct_displacement_sum(hbar):
+    # the full matrix, truncation corner included, against the quadrature
+    # summed node by node with displacement exponentiating aX+bP directly
+    gauss = symbol("gauss")
+    g = PhaseSpaceFunction("gauss", gauss.evaluate, gauss.transform, square_grid(-8.0, 8.0, 64))
+    n = 12
+    dual = g.quad_grid.dual()
+    A, B = dual.meshgrid()
+    gh = g.transform(A, B)
+    keep = np.abs(gh) > PRUNE * np.abs(gh).max()
+    assert keep.sum() == 2801
+    cell = dual.gx.spacing * dual.gp.spacing / (2 * np.pi)
+    ref = sum(
+        w * cell * displacement(a, b, n, hbar, check=False)
+        for a, b, w in zip(A[keep], B[keep], gh[keep])
+    )
+    assert np.max(np.abs(weyl_quantize(g, n, hbar=hbar) - ref)) < 1e-13
 
 
 def test_trace_identity():
