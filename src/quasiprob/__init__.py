@@ -9,12 +9,8 @@ from .numerics import (
     PreconditionError,
     SampledFunction1D,
     SampledFunction2D,
-    delta_kernel_check,
     fourier_forward_1d,
-    fourier_forward_2d,
     fourier_inverse_1d,
-    fourier_inverse_2d,
-    quadrature,
     quadrature_2d,
     square_grid,
 )
@@ -33,11 +29,8 @@ from .states import (
     DEFAULT_GRID,
     DirectionAB,
     WaveFunction,
-    apply_P,
-    apply_X,
     gaussian_state,
     hermite_functions,
-    momentum_wavefunction,
     oscillator_eigenstate,
     sampled_state,
 )

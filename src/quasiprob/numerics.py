@@ -1,4 +1,4 @@
-"""Uniform grids, unitary Fourier transforms, quadrature, delta-kernel checks.
+"""Uniform grids, unitary Fourier transforms, and 2-D quadrature.
 
 Transform convention (angular frequency, symmetric normalization):
 
@@ -108,18 +108,13 @@ class SampledFunction2D:
         object.__setattr__(self, "values", v)
 
 
-def warn_boundary(values: np.ndarray, what: str, axis: int | None = None) -> None:
-    """Warn when samples have not decayed at the grid edge (nice-function contract)."""
+def warn_boundary(values: np.ndarray, what: str) -> None:
+    """Warn when 1-D samples have not decayed at the grid edge (nice-function contract)."""
     v = np.abs(np.asarray(values))
     peak = v.max()
     if peak == 0.0:
         return
-    if v.ndim == 1:
-        edge = max(v[0], v[-1])
-    elif axis == 0:
-        edge = max(v[0].max(), v[-1].max())
-    else:
-        edge = max(v[..., 0].max(), v[..., -1].max())
+    edge = max(v[0], v[-1])
     if edge > BOUNDARY_DECAY * peak:
         warnings.warn(
             f"{what}: |f| at grid edge is {edge / peak:.2e} of max, "
@@ -156,52 +151,11 @@ def fourier_forward_1d(f: SampledFunction1D) -> SampledFunction1D:
     return SampledFunction1D(dual, ft_core(f.values, f.grid, dual, -1))
 
 
-def fourier_inverse_1d(g: SampledFunction1D, grid: Grid1D | None = None) -> SampledFunction1D:
-    """Inverse transform back onto `grid` (default: the dual of g's grid)."""
-    target = grid if grid is not None else g.grid.dual()
-    return SampledFunction1D(target, ft_core(g.values, g.grid, target, +1))
-
-
-def fourier_forward_2d(f: SampledFunction2D) -> SampledFunction2D:
-    warn_boundary(f.values, "fourier_forward_2d input", axis=0)
-    warn_boundary(f.values, "fourier_forward_2d input", axis=1)
-    dual = f.grid.dual()
-    out = ft_core(f.values, f.grid.gx, dual.gx, -1, axis=0)
-    out = ft_core(out, f.grid.gp, dual.gp, -1, axis=1)
-    return SampledFunction2D(dual, out)
-
-
-def fourier_inverse_2d(g: SampledFunction2D, grid: Grid2D | None = None) -> SampledFunction2D:
-    target = grid if grid is not None else g.grid.dual()
-    out = ft_core(g.values, g.grid.gx, target.gx, +1, axis=0)
-    out = ft_core(out, g.grid.gp, target.gp, +1, axis=1)
-    return SampledFunction2D(target, out)
-
-
-def quadrature(f: SampledFunction1D) -> complex:
-    """Trapezoid rule; effectively spectral-accurate for decayed integrands."""
-    return complex(np.trapezoid(f.values, dx=f.grid.spacing))
+def fourier_inverse_1d(g: SampledFunction1D, grid: Grid1D) -> SampledFunction1D:
+    """Inverse transform back onto `grid`, a dual of g's grid."""
+    return SampledFunction1D(grid, ft_core(g.values, g.grid, grid, +1))
 
 
 def quadrature_2d(f: SampledFunction2D) -> complex:
     inner = np.trapezoid(f.values, dx=f.grid.gp.spacing, axis=1)
     return complex(np.trapezoid(inner, dx=f.grid.gx.spacing))
-
-
-def delta_kernel_check(f: SampledFunction1D, T: float) -> complex:
-    """integral f(x) * (2 sin(Tx)/x) dx, the T-truncated delta kernel.
-
-    Approaches 2*pi*f(0) as T grows.  The grid must resolve the oscillation:
-    dx well below pi/T.
-    """
-    if T <= 0:
-        raise PreconditionError("T must be positive")
-    g = f.grid
-    if g.spacing > np.pi / (8 * T):
-        warnings.warn(
-            f"delta_kernel_check: dx={g.spacing:.3g} barely resolves sin({T:.3g}x); "
-            "expect quadrature noise",
-            stacklevel=2,
-        )
-    kernel = 2.0 * T * np.sinc(T * g.points / np.pi)  # = 2 sin(Tx)/x, finite at 0
-    return complex(np.trapezoid(f.values * kernel, dx=g.spacing))

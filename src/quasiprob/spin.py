@@ -82,12 +82,13 @@ class SpinQuasiDist:
 
 
 def expectations(state: SpinState) -> tuple[float, float, float]:
-    """(<X>, <Y>, <Z>) for a pure state; each lands in [-1, 1]."""
+    """(<X>, <Y>, <Z>) for a pure state, clipped into [-1, 1].
+
+    A state normalized only within ATOL can round a value a few ulps past
+    +-1; the clip keeps the exact range the family's guards demand.
+    """
     c = np.array([state.c0, state.c1], dtype=complex)
-    out = []
-    for M in pauli():
-        out.append(float(np.real(np.conj(c) @ (M @ c))))
-    return tuple(out)
+    return tuple(float(np.clip(np.real(np.conj(c) @ (M @ c)), -1.0, 1.0)) for M in pauli())
 
 
 def _check_range(name: str, v: float) -> None:

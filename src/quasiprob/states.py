@@ -1,4 +1,4 @@
-"""1-D quantum states, the X and P operators, shifts, and inner products.
+"""1-D quantum states and the direction type for their marginals.
 
 States are carried as closures evaluable at arbitrary real points, because the
 phase-space transform needs psi(x +- beta*hbar/2) at half-lattice points.
@@ -13,14 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (
-    Grid1D,
-    PreconditionError,
-    SampledFunction1D,
-    ft_core,
-    quadrature,
-    warn_boundary,
-)
+from .numerics import Grid1D, PreconditionError, SampledFunction1D, warn_boundary
 
 #: Working grid for unit-width states at hbar=1; boundary amplitude < 1e-50.
 DEFAULT_GRID = Grid1D(-16.0, 16.0, 512)
@@ -36,10 +29,6 @@ class WaveFunction:
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(np.asarray(x, dtype=float))
-
-    def sample(self, grid: Grid1D | None = None) -> SampledFunction1D:
-        g = grid if grid is not None else DEFAULT_GRID
-        return SampledFunction1D(g, self(g.points))
 
 
 def gaussian_state(x0: float, p0: float, sigma: float, hbar: float = 1.0) -> WaveFunction:
@@ -114,74 +103,6 @@ def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sample
         return out.reshape(x.shape)
 
     return WaveFunction(evaluate, hbar, label)
-
-
-def shift(psi: WaveFunction, a: float) -> WaveFunction:
-    """psi(x) -> psi(x + a), the exponential of a*d/dx acting on the state."""
-    inner = psi.evaluate
-    return WaveFunction(lambda x: inner(x + a), psi.hbar, f"shift({a})[{psi.label}]")
-
-
-def exp_x_multiply(psi: WaveFunction, c: float, grid: Grid1D | None = None) -> SampledFunction1D:
-    """Pointwise e^{c x} psi(x) on the grid; rejected if the tail blows up."""
-    g = grid if grid is not None else DEFAULT_GRID
-    vals = np.exp(c * g.points) * psi(g.points)
-    if not np.all(np.isfinite(vals)):
-        raise PreconditionError("exp_x_multiply overflowed on the working grid")
-    v = np.abs(vals)
-    if max(v[0], v[-1]) > 1e-6 * v.max():
-        raise PreconditionError(
-            "exp_x_multiply result not normalizable on the working grid "
-            f"(edge/max = {max(v[0], v[-1]) / v.max():.2e})"
-        )
-    return SampledFunction1D(g, vals)
-
-
-def apply_X(psi: WaveFunction, grid: Grid1D | None = None) -> SampledFunction1D:
-    """(X psi)(x) = x psi(x), sampled."""
-    g = grid if grid is not None else DEFAULT_GRID
-    return SampledFunction1D(g, g.points * psi(g.points))
-
-
-def apply_P(psi: WaveFunction, grid: Grid1D | None = None) -> SampledFunction1D:
-    """(P psi)(x) = -i hbar psi'(x), derivative taken spectrally."""
-    g = grid if grid is not None else DEFAULT_GRID
-    vals = psi(g.points)
-    warn_boundary(vals, "apply_P input")
-    dual = g.dual()
-    fhat = ft_core(vals, g, dual, -1)
-    return SampledFunction1D(g, ft_core(psi.hbar * dual.points * fhat, dual, g, +1))
-
-
-def inner_product(phi: SampledFunction1D, psi: SampledFunction1D) -> complex:
-    """<phi|psi> = integral conj(phi) psi dx on a common grid."""
-    if phi.grid != psi.grid:
-        raise PreconditionError("inner_product needs a common grid")
-    return quadrature(SampledFunction1D(phi.grid, np.conj(phi.values) * psi.values))
-
-
-def expectation(
-    psi: WaveFunction,
-    op: Callable[[WaveFunction, Grid1D], SampledFunction1D],
-    grid: Grid1D | None = None,
-) -> float:
-    """<psi|O|psi> for an operator O given as a (state, grid) -> samples map."""
-    g = grid if grid is not None else DEFAULT_GRID
-    val = inner_product(psi.sample(g), op(psi, g))
-    return float(val.real)
-
-
-def momentum_wavefunction(psi: WaveFunction, grid: Grid1D | None = None) -> SampledFunction1D:
-    """psi in the momentum representation on the hbar-scaled dual grid.
-
-    psitilde(p) = (1/sqrt(2 pi hbar)) integral psi(x) e^{-i p x / hbar} dx
-    """
-    g = grid if grid is not None else DEFAULT_GRID
-    h = psi.hbar
-    dual = g.dual()
-    fhat = ft_core(psi(g.points), g, dual, -1)
-    pgrid = Grid1D(h * dual.min, h * dual.max, dual.n)
-    return SampledFunction1D(pgrid, fhat / np.sqrt(h))
 
 
 @dataclass(frozen=True)

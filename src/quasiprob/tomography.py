@@ -49,31 +49,27 @@ def _check_marginal_norm(values: np.ndarray, dz: float, what: str) -> None:
 def marginal_of_quasi(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D) -> Marginal:
     """Line-integral marginal of f along z = a x + b p.
 
-    For |b| >= |a| integrates over x with band-limited interpolation of f in
-    p at p* = (z - a x)/b (density factor 1/|b|); otherwise the mirrored
-    branch over p.  Band-limited lookup keeps the quadrature at transform
-    accuracy; the branch choice keeps the swept coordinate on-grid as long as
-    the z-window covers the projected support.
+    Integrates over x with band-limited interpolation of f in p at
+    p* = (z - a x)/b (density factor 1/|b|).  When |b| < |a| the roles of
+    (x, a) and (p, b) swap, with f transposed, so the swept coordinate is
+    always the one with the smaller coefficient.  Band-limited lookup keeps
+    the quadrature at transform accuracy; the swap keeps the swept coordinate
+    on-grid as long as the z-window covers the projected support.
     """
     a, b = d.a, d.b
     gx, gp = f.grid.gx, f.grid.gp
+    values = f.values
+    if abs(b) < abs(a):
+        a, b, gx, gp, values = b, a, gp, gx, values.T
     x, p = gx.points, gp.points
     z = zgrid.points
     vals = np.empty(zgrid.n)
-    if abs(b) >= abs(a):
-        for i in range(0, zgrid.n, CHUNK):
-            zc = z[i : i + CHUNK, None]
-            pstar = (zc - a * x[None, :]) / b  # (j, k)
-            w = np.sinc((pstar[:, :, None] - p[None, None, :]) / gp.spacing)
-            rows = np.einsum("km,jkm->jk", f.values, w)
-            vals[i : i + CHUNK] = np.trapezoid(rows, dx=gx.spacing, axis=1) / abs(b)
-    else:
-        for i in range(0, zgrid.n, CHUNK):
-            zc = z[i : i + CHUNK, None]
-            xstar = (zc - b * p[None, :]) / a  # (j, m)
-            w = np.sinc((xstar[:, :, None] - x[None, None, :]) / gx.spacing)
-            rows = np.einsum("km,jmk->jm", f.values, w)
-            vals[i : i + CHUNK] = np.trapezoid(rows, dx=gp.spacing, axis=1) / abs(a)
+    for i in range(0, zgrid.n, CHUNK):
+        zc = z[i : i + CHUNK, None]
+        pstar = (zc - a * x[None, :]) / b  # (j, k)
+        w = np.sinc((pstar[:, :, None] - p[None, None, :]) / gp.spacing)
+        rows = np.einsum("km,jkm->jk", values, w)
+        vals[i : i + CHUNK] = np.trapezoid(rows, dx=gx.spacing, axis=1) / abs(b)
     peak = np.abs(vals).max()
     # discontinuous payloads ring at ~1e-6 relative through the band-limited
     # lookup; genuine clipping also fails the norm check below
@@ -87,9 +83,7 @@ def marginal_of_quasi(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D) -> Ma
     return Marginal(d, zgrid, vals)
 
 
-def quantum_marginal(
-    psi: WaveFunction, d: DirectionAB, zgrid: Grid1D, ygrid: Grid1D | None = None
-) -> Marginal:
+def quantum_marginal(psi: WaveFunction, d: DirectionAB, zgrid: Grid1D) -> Marginal:
     """Measurement distribution of a X + b P predicted by the state itself.
 
     ghat(zeta) = <e^{-i zeta (aX + bP)}> / sqrt(2 pi) on the dual z-lattice,
@@ -97,7 +91,7 @@ def quantum_marginal(
     """
     gz = zgrid.dual()
     zeta = gz.points
-    ghat = characteristic_function(psi, d.a * zeta, d.b * zeta, ygrid) / SQRT2PI
+    ghat = characteristic_function(psi, d.a * zeta, d.b * zeta) / SQRT2PI
     edge = max(abs(ghat[0]), abs(ghat[-1]))
     if edge > 1e-9 * np.abs(ghat).max():
         warnings.warn(
@@ -129,26 +123,19 @@ def fhat_on_ray(f: QuasiDistribution, d: DirectionAB, zeta: np.ndarray) -> np.nd
     return np.einsum("jl,lj->j", E1, T) * scale
 
 
-def verify_j2m(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D | None = None) -> float:
+def verify_j2m(f: QuasiDistribution, d: DirectionAB) -> float:
     """Max-abs residual of ghat(zeta) = sqrt(2 pi) fhat(a zeta, b zeta).
 
     Left side: marginal_of_quasi followed by a 1-D forward transform.  Right
-    side: the 2-D transform sampled on the ray.  The z-grid needs
-    dz >= max(dx, dp) so the dual window stays clear of the periodization
-    tails of the sampled transform.
+    side: the 2-D transform sampled on the ray.  The z-grid is the coarser
+    phase-space axis widened by max(1, |d|), so dz >= max(dx, dp) and the
+    dual window stays clear of the periodization tails of the sampled
+    transform.
     """
     gx, gp = f.grid.gx, f.grid.gp
-    if zgrid is None:
-        base = gx if gx.spacing >= gp.spacing else gp
-        # widen for long directions; never shrink below base (keeps dz >= dx)
-        lam = max(1.0, d.norm)
-        zgrid = Grid1D(lam * base.min, lam * base.max, base.n)
-    if zgrid.spacing < max(gx.spacing, gp.spacing) * (1 - 1e-12):
-        warnings.warn(
-            "verify_j2m: dz below max(dx, dp); the dual window reaches into "
-            "aliased territory and the residual will be dominated by it",
-            stacklevel=2,
-        )
+    base = gx if gx.spacing >= gp.spacing else gp
+    lam = max(1.0, d.norm)
+    zgrid = Grid1D(lam * base.min, lam * base.max, base.n)
     m = marginal_of_quasi(f, d, zgrid)
     gz = zgrid.dual()
     lhs = ft_core(m.values.astype(complex), zgrid, gz, -1)
@@ -157,7 +144,7 @@ def verify_j2m(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D | None = None
 
 
 def reconstruct_from_marginals(
-    marginals: Sequence[Marginal], grid: Grid2D, hbar: float = 1.0, check: bool = True
+    marginals: Sequence[Marginal], grid: Grid2D, hbar: float = 1.0
 ) -> QuasiDistribution:
     """Assemble f from direction-tagged marginals by the slice identity.
 
@@ -185,14 +172,13 @@ def reconstruct_from_marginals(
     M = len(ms)
 
     gaps = np.diff(np.concatenate([th, [th[0] + np.pi]]))
-    if check:
-        big = [(float(th[i]), float(gaps[i])) for i in np.nonzero(gaps > np.pi / 8)[0]]
-        if big:
-            warnings.warn(
-                "reconstruction coverage gaps above pi/8 after angle "
-                + ", ".join(f"{t:.3f} (gap {g:.3f})" for t, g in big),
-                stacklevel=2,
-            )
+    big = [(float(th[i]), float(gaps[i])) for i in np.nonzero(gaps > np.pi / 8)[0]]
+    if big:
+        warnings.warn(
+            "reconstruction coverage gaps above pi/8 after angle "
+            + ", ".join(f"{t:.3f} (gap {g:.3f})" for t, g in big),
+            stacklevel=2,
+        )
 
     gz = zgrid.dual()
     zeta0, dzeta, nz = gz.min, gz.spacing, gz.n
@@ -268,7 +254,6 @@ def direction_residuals(
     psi: WaveFunction,
     thetas: Sequence[float],
     zgrid: Grid1D | None = None,
-    ygrid: Grid1D | None = None,
 ) -> np.ndarray:
     """Max-abs gap between f's marginal and the state's prediction per angle."""
     if zgrid is None:
@@ -278,7 +263,7 @@ def direction_residuals(
     for i, t in enumerate(thetas):
         d = DirectionAB(float(np.cos(t)), float(np.sin(t)))
         m = marginal_of_quasi(f, d, zgrid)
-        q = quantum_marginal(psi, d, zgrid, ygrid)
+        q = quantum_marginal(psi, d, zgrid)
         out[i] = np.abs(m.values - q.values).max()
     return out
 
@@ -288,11 +273,10 @@ def find_violated_direction(
     psi: WaveFunction,
     thetas: Sequence[float],
     zgrid: Grid1D | None = None,
-    ygrid: Grid1D | None = None,
 ) -> tuple[float, float]:
     """Angle with the worst marginal mismatch and that residual."""
     if len(thetas) == 0:
         raise PreconditionError("find_violated_direction needs at least one angle")
-    res = direction_residuals(f, psi, thetas, zgrid, ygrid)
+    res = direction_residuals(f, psi, thetas, zgrid)
     k = int(np.argmax(res))
     return (float(thetas[k]), float(res[k]))

@@ -27,7 +27,14 @@ from .tomography import (
     verify_j2m,
 )
 from .weyl import displacement, interior_block, moyal_expectation_check, oscillator_matrices, symbol, weyl_quantize
-from .wigner import QuasiDistribution, characteristic_function, negative_volume, wigner_transform
+from .wigner import (
+    QuasiDistribution,
+    characteristic_function,
+    characteristic_grid,
+    negative_volume,
+    wigner_from_characteristic,
+    wigner_transform,
+)
 
 @dataclass(frozen=True)
 class Check:
@@ -117,6 +124,13 @@ def run_verify() -> dict:
     cfc = characteristic_function(coh, A, B)
     exact = np.exp(-1j * (A * 2.0 + B * 3.0)) * np.exp(-(A**2 + B**2) / 4.0)
     s.le("charfn-coherent-phase-dev", float(np.abs(cfc - exact).max()), 1e-8)
+
+    # the uniqueness proof's constructive step: f is the inverse transform of
+    # its characteristic function (excited state, against the closed form)
+    fi = wigner_from_characteristic(characteristic_grid(psi1, square_grid(-12.0, 12.0, 64)))
+    Xi, Pi = fi.grid.meshgrid()
+    ri = Xi**2 + Pi**2
+    s.le("charfn-inversion-excited-max-dev", float(np.abs(fi.values - (2 * ri - 1) * np.exp(-ri) / np.pi).max()), 1e-10)
 
     # slice identity on Wigner and non-Wigner distributions
     mid = square_grid(-8.0, 8.0, 128)

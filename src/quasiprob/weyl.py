@@ -192,18 +192,9 @@ def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarra
     return np.einsum("jl,kl,jkl->jk", V, V, M[k[:, None] - k + N - 1])
 
 
-def hermiticity_residual(M: np.ndarray) -> float:
-    return float(np.abs(M - M.conj().T).max())
-
-
 def interior_block(M: np.ndarray) -> np.ndarray:
     h = M.shape[0] // 2
     return M[:h, :h]
-
-
-def interior_trace(M: np.ndarray) -> complex:
-    h = M.shape[0] // 2
-    return complex(np.trace(M[:h, :h]))
 
 
 def fock_coefficients(psi: WaveFunction, N: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    Grid1D,
     Grid2D,
     PreconditionError,
     SQRT2PI,
@@ -62,14 +61,14 @@ class CharacteristicFunction:
     hbar: float = 1.0
 
 
-def characteristic_function(psi: WaveFunction, alpha, beta, ygrid: Grid1D | None = None):
+def characteristic_function(psi: WaveFunction, alpha, beta):
     """<psi| e^{-i(alpha X + beta P)} |psi>, vectorized over broadcast inputs.
 
-    Evaluated by quadrature of the split form; the integrand needs psi at
-    y - beta*hbar, so shifts larger than the working-grid half-span are only
-    trusted where the result has already decayed.
+    Evaluated by quadrature of the split form on DEFAULT_GRID; the integrand
+    needs psi at y - beta*hbar, so shifts larger than the working-grid
+    half-span are only trusted where the result has already decayed.
     """
-    g = ygrid if ygrid is not None else DEFAULT_GRID
+    g = DEFAULT_GRID
     h = psi.hbar
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -97,30 +96,29 @@ def characteristic_function(psi: WaveFunction, alpha, beta, ygrid: Grid1D | None
     return out.reshape(shape) if shape else complex(out[0])
 
 
-def characteristic_grid(
-    psi: WaveFunction, grid: Grid2D, ygrid: Grid1D | None = None, check: bool = True
-) -> CharacteristicFunction:
-    """Sample fhat = <e^{-i(aX+bP)}>/(2 pi) on grid (x-axis = alpha, p-axis = beta)."""
+def characteristic_grid(psi: WaveFunction, grid: Grid2D) -> CharacteristicFunction:
+    """Sample fhat = <e^{-i(aX+bP)}>/(2 pi) on grid (x-axis = alpha, p-axis = beta).
+
+    When the origin is a grid point, fhat(0, 0) must equal 1/(2 pi)."""
     A, B = grid.meshgrid()
-    vals = characteristic_function(psi, A, B, ygrid) / (2 * np.pi)
-    if check:
-        ia = int(np.argmin(np.abs(grid.gx.points)))
-        ib = int(np.argmin(np.abs(grid.gp.points)))
-        if abs(grid.gx.points[ia]) < 1e-12 and abs(grid.gp.points[ib]) < 1e-12:
-            dev = abs(vals[ia, ib] - 1.0 / (2 * np.pi))
-            if dev > 1e-8:
-                raise PreconditionError(
-                    f"characteristic normalization off: |fhat(0,0) - 1/2pi| = {dev:.2e}"
-                )
+    vals = characteristic_function(psi, A, B) / (2 * np.pi)
+    ia = int(np.argmin(np.abs(grid.gx.points)))
+    ib = int(np.argmin(np.abs(grid.gp.points)))
+    if abs(grid.gx.points[ia]) < 1e-12 and abs(grid.gp.points[ib]) < 1e-12:
+        dev = abs(vals[ia, ib] - 1.0 / (2 * np.pi))
+        if dev > 1e-8:
+            raise PreconditionError(
+                f"characteristic normalization off: |fhat(0,0) - 1/2pi| = {dev:.2e}"
+            )
     return CharacteristicFunction(grid, vals, psi.hbar)
 
 
-def wigner_transform(psi: WaveFunction, grid: Grid2D, check: bool = True) -> QuasiDistribution:
+def wigner_transform(psi: WaveFunction, grid: Grid2D) -> QuasiDistribution:
     """The quasi-distribution f(x, p) of psi on the given phase-space grid.
 
     Each x-row is one inverse transform over the b-lattice dual to the p-axis.
     The imaginary residue of the construction, the normalization, and the
-    1/(pi hbar) bound are checked when check=True.
+    1/(pi hbar) bound are checked.
     """
     gx, gp = grid.gx, grid.gp
     gb = gp.dual()
@@ -128,39 +126,36 @@ def wigner_transform(psi: WaveFunction, grid: Grid2D, check: bool = True) -> Qua
     X = gx.points[:, None]
     B = gb.points[None, :]
     rows = np.conj(psi(X + B * h / 2.0)) * psi(X - B * h / 2.0)
-    if check:
-        edge = max(np.abs(rows[:, 0]).max(), np.abs(rows[:, -1]).max())
-        if edge > 1e-9 * np.abs(rows).max():
-            warnings.warn(
-                f"wigner_transform: correlation not decayed at the b-window edge "
-                f"(edge/max = {edge / np.abs(rows).max():.2e}); refine the p-grid",
-                stacklevel=2,
-            )
+    edge = max(np.abs(rows[:, 0]).max(), np.abs(rows[:, -1]).max())
+    if edge > 1e-9 * np.abs(rows).max():
+        warnings.warn(
+            f"wigner_transform: correlation not decayed at the b-window edge "
+            f"(edge/max = {edge / np.abs(rows).max():.2e}); refine the p-grid",
+            stacklevel=2,
+        )
     f = ft_core(rows, gb, gp, +1, axis=1) / SQRT2PI
     imag = float(np.abs(f.imag).max())
-    if check and imag > 1e-9:
+    if imag > 1e-9:
         raise PreconditionError(f"wigner_transform imaginary residue {imag:.2e} above 1e-9")
     q = QuasiDistribution(grid, f.real, h)
-    if check:
-        total = q.integral()
-        if abs(total - 1.0) > 1e-8:
-            raise PreconditionError(f"wigner_transform integral {total!r} not 1 within 1e-8")
-        bound = 1.0 / (np.pi * h) + 1e-8
-        if np.abs(q.values).max() > bound:
-            raise PreconditionError("wigner_transform exceeded the 1/(pi hbar) bound")
+    total = q.integral()
+    if abs(total - 1.0) > 1e-8:
+        raise PreconditionError(f"wigner_transform integral {total!r} not 1 within 1e-8")
+    bound = 1.0 / (np.pi * h) + 1e-8
+    if np.abs(q.values).max() > bound:
+        raise PreconditionError("wigner_transform exceeded the 1/(pi hbar) bound")
     return q
 
 
-def wigner_from_characteristic(
-    cf: CharacteristicFunction, grid: Grid2D | None = None, check: bool = True
-) -> QuasiDistribution:
-    """Inverse 2-D transform of fhat; matches wigner_transform on decayed grids."""
-    target = grid if grid is not None else cf.grid.dual()
+def wigner_from_characteristic(cf: CharacteristicFunction) -> QuasiDistribution:
+    """Inverse 2-D transform of fhat onto the dual of its grid; matches
+    wigner_transform there when fhat has decayed at the window edge."""
+    target = cf.grid.dual()
     out = ft_core(cf.values, cf.grid.gx, target.gx, +1, axis=0)
     out = ft_core(out, cf.grid.gp, target.gp, +1, axis=1)
     imag = float(np.abs(out.imag).max())
     scale = float(np.abs(out.real).max())
-    if check and scale > 0 and imag > 1e-9 * max(1.0, scale):
+    if scale > 0 and imag > 1e-9 * max(1.0, scale):
         raise PreconditionError(f"wigner_from_characteristic imaginary residue {imag:.2e}")
     return QuasiDistribution(target, out.real, cf.hbar)
 

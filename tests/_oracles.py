@@ -111,3 +111,11 @@ ZX_QUASI_VALUES = (2.0, 0.0, -2.0)
 
 # Hand-picked four-outcome assignment: negatives sum to -0.1.
 DISCRETE_NEGATIVE_VOLUME = 0.1
+
+
+# Momentum operator on samples of a decayed wave function:
+# (P psi)(x) = -i hbar psi'(x), the derivative taken spectrally with numpy's
+# own DFT (multiply by the angular frequency k, since -i d/dx e^{ikx} = k e^{ikx}).
+def apply_P(values, dx, hbar=1.0):
+    k = 2.0 * np.pi * np.fft.fftfreq(len(values), dx)
+    return hbar * np.fft.ifft(k * np.fft.fft(values))

@@ -57,6 +57,19 @@ def test_spin_t_flag_variants(tmp_path, capsys):
     assert rep["t"] == pytest.approx(-1.0)
 
 
+def test_spin_expectation_rounding_past_minus_one(tmp_path, capsys):
+    # this normalized state's <Z> rounds to -1.0000000000000002 unless
+    # expectations() brings it back into [-1, 1]
+    code, rep = run(
+        ["spin", "--state", "2.83276944882399e-16,-0.9405090875956454+0.33976853319577227i",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    jsonschema.validate(rep, SCHEMA)
+    assert rep["expectations"]["Z"] == -1.0
+
+
 def test_negativity_discrete_exact(tmp_path, capsys):
     code, rep = run(["negativity", "--values", "0.6,-0.1,0.3,0.2", "--out", str(tmp_path)], capsys)
     assert code == 0

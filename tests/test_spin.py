@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles as oracle
 from quasiprob.numerics import PreconditionError
@@ -72,6 +72,7 @@ def test_family_range_check():
 
 
 @given(u=US, v=VS, t=st.floats(-3.0, 3.0))
+@example(u=np.pi / 2, v=0.053407075111026485, t=0.0)  # <Z> once rounded to -1 - 2e-16
 @settings(max_examples=100, deadline=None)
 def test_family_marginals_always_consistent(u, v, t):
     # whatever t is chosen, the four components reproduce the single-spin

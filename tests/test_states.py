@@ -2,29 +2,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasiprob.numerics import Grid1D, PreconditionError, SampledFunction1D, quadrature
+import _oracles as oracle
+from quasiprob.numerics import Grid1D, PreconditionError, SampledFunction1D
 from quasiprob.states import (
     DEFAULT_GRID,
     DirectionAB,
-    apply_P,
-    apply_X,
-    expectation,
-    exp_x_multiply,
     gaussian_state,
     hermite_functions,
-    inner_product,
-    momentum_wavefunction,
     oscillator_eigenstate,
     sampled_state,
-    shift,
 )
 
 ANGLES = st.floats(0.0, np.pi, exclude_max=True)
 
 
 def norm_of(psi):
-    vals = psi.sample().values
+    vals = psi(DEFAULT_GRID.points)
     return float(np.sum(np.abs(vals) ** 2) * DEFAULT_GRID.spacing)
+
+
+def expect(psi, op_values):
+    """<psi|O|psi> by the trapezoid rule, given (O psi) on DEFAULT_GRID."""
+    vals = psi(DEFAULT_GRID.points)
+    return float(np.trapezoid(np.conj(vals) * op_values, dx=DEFAULT_GRID.spacing).real)
 
 
 def test_gaussian_normalized():
@@ -41,8 +41,8 @@ def test_gaussian_rejects_bad_width():
 
 def test_eigenstates_orthonormal():
     states = [oscillator_eigenstate(n) for n in range(6)]
-    sampled = [s.sample() for s in states]
-    G = np.array([[complex(inner_product(a, b)) for b in sampled] for a in sampled])
+    sampled = [s(DEFAULT_GRID.points) for s in states]
+    G = np.array([[np.trapezoid(np.conj(a) * b, dx=DEFAULT_GRID.spacing) for b in sampled] for a in sampled])
     assert np.max(np.abs(G - np.eye(6))) < 1e-12
 
 
@@ -67,8 +67,9 @@ def test_hermite_broadcasts_over_meshes():
 
 def test_coherent_expectations():
     psi = gaussian_state(1.5, -0.75, 1.0)
-    assert expectation(psi, apply_X) == pytest.approx(1.5, abs=1e-10)
-    assert expectation(psi, apply_P) == pytest.approx(-0.75, abs=1e-10)
+    x, dx = DEFAULT_GRID.points, DEFAULT_GRID.spacing
+    assert expect(psi, x * psi(x)) == pytest.approx(1.5, abs=1e-10)
+    assert expect(psi, oracle.apply_P(psi(x), dx)) == pytest.approx(-0.75, abs=1e-10)
 
 
 def test_eigenstate_moments():
@@ -79,37 +80,9 @@ def test_eigenstate_moments():
         x2 = float(np.sum(DEFAULT_GRID.points**2 * dens) * DEFAULT_GRID.spacing)
         assert x2 == pytest.approx(n + 0.5, abs=1e-9)
         # and spectrally: <p^2> via two derivative applications
-        pp = apply_P(psi)
-        p2 = float(np.sum(np.abs(pp.values) ** 2) * DEFAULT_GRID.spacing)
+        pp = oracle.apply_P(psi(DEFAULT_GRID.points), DEFAULT_GRID.spacing)
+        p2 = float(np.sum(np.abs(pp) ** 2) * DEFAULT_GRID.spacing)
         assert p2 == pytest.approx(n + 0.5, abs=1e-9)
-
-
-def test_shift_moves_center():
-    # psi(x) -> psi(x + a) moves the density center from 0 to -a
-    psi = gaussian_state(0.0, 0.0, 1.0)
-    moved = shift(psi, 2.0)
-    assert expectation(moved, apply_X) == pytest.approx(-2.0, abs=1e-10)
-    assert norm_of(moved) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_exp_x_multiply_is_real_tilt():
-    psi = gaussian_state(0.0, 0.0, 1.0)
-    out = exp_x_multiply(psi, -0.5)
-    expected = psi(DEFAULT_GRID.points) * np.exp(-0.5 * DEFAULT_GRID.points)
-    assert np.max(np.abs(out.values - expected)) < 1e-14
-    # a tilt strong enough to push mass onto the grid edge is rejected
-    with pytest.raises(PreconditionError):
-        exp_x_multiply(psi, 40.0)
-
-
-def test_momentum_wavefunction_of_coherent():
-    # position Gaussian at (x0, p0) has momentum density centered at p0
-    psi = gaussian_state(1.0, 2.0, 1.0)
-    phi = momentum_wavefunction(psi)
-    dens = np.abs(phi.values) ** 2
-    pk = phi.grid.points[np.argmax(dens)]
-    assert pk == pytest.approx(2.0, abs=phi.grid.spacing)
-    assert float(np.sum(dens) * phi.grid.spacing) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sampled_state_interpolates():
@@ -149,9 +122,3 @@ def test_direction_canonical_ignores_scale_and_sign(theta, scale):
     d2 = DirectionAB(-scale * np.cos(theta), -scale * np.sin(theta))
     assert d1.canonical() == pytest.approx(d2.canonical(), abs=1e-12)
 
-
-def test_quadrature_norm_helper():
-    psi = oscillator_eigenstate(2)
-    f = psi.sample()
-    total = quadrature(SampledFunction1D(f.grid, np.abs(f.values) ** 2))
-    assert complex(total).real == pytest.approx(1.0, abs=1e-12)

@@ -9,9 +9,7 @@ from quasiprob.weyl import (
     PhaseSpaceFunction,
     displacement,
     fock_coefficients,
-    hermiticity_residual,
     interior_block,
-    interior_trace,
     moyal_expectation_check,
     oscillator_matrices,
     symbol,
@@ -19,6 +17,10 @@ from quasiprob.weyl import (
 )
 
 N = 48
+
+
+def hermiticity_residual(M):
+    return float(np.abs(M - M.conj().T).max())
 
 
 def test_oscillator_matrices_commutator():
@@ -97,7 +99,7 @@ def test_trace_identity():
     M = weyl_quantize(g, N)
     area = np.pi  # integral of e^{-x^2-p^2}
     assert complex(np.trace(M[:12, :12])).real == pytest.approx(area / (2 * np.pi), abs=1e-9)
-    assert complex(interior_trace(M)).real == pytest.approx(area / (2 * np.pi), abs=1e-4)
+    assert complex(np.trace(interior_block(M))).real == pytest.approx(area / (2 * np.pi), abs=1e-4)
 
 
 def test_displacement_ground_expectation():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from quasiprob.numerics import Grid1D, PreconditionError, square_grid
+from quasiprob.numerics import PreconditionError, square_grid
 from quasiprob.states import gaussian_state, oscillator_eigenstate
 from quasiprob.wigner import (
     QuasiDistribution,
@@ -139,8 +139,3 @@ def test_small_grid_norm_check_raises(ground):
     with pytest.raises(PreconditionError):
         wigner_transform(ground, square_grid(-1.5, 1.5, 32))
 
-
-def test_custom_ygrid_accepted(ground):
-    yg = Grid1D(-20.0, 20.0, 1024)
-    v = characteristic_function(ground, 1.0, 1.0, ygrid=yg)
-    assert abs(complex(v) - oracle.coherent_cf(1.0, 1.0)) < 1e-12
