@@ -13,8 +13,8 @@ import warnings
 import numpy as np
 
 from quasiprob.numerics import Grid1D, square_grid
-from quasiprob.states import DirectionAB, gaussian_state, oscillator_eigenstate
-from quasiprob.tomography import quantum_marginal, reconstruct_from_marginals
+from quasiprob.states import gaussian_state, oscillator_eigenstate
+from quasiprob.tomography import fan, quantum_marginal, reconstruct_from_marginals
 from quasiprob.wigner import wigner_transform
 
 
@@ -45,15 +45,11 @@ def main():
     print(header)
     print("-" * len(header))
     for ndirs in counts:
-        dirs = [
-            DirectionAB(float(np.cos(t)), float(np.sin(t)))
-            for t in np.arange(ndirs) * np.pi / ndirs
-        ]
         row = f"{ndirs:5d} "
         for s in states:
-            margs = [quantum_marginal(s, d, zgrid) for d in dirs]
-            # sparse sweeps below 16 directions trip the coverage-gap
-            # warning by construction; the table shows the cost
+            margs = [quantum_marginal(s, d, zgrid) for d in fan(ndirs)]
+            # sweeps below 8 directions trip the coverage-gap warning by
+            # construction; the table shows the cost
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 rec = reconstruct_from_marginals(margs, grid)

@@ -37,6 +37,7 @@ from .states import (
 from .tomography import (
     Marginal,
     direction_residuals,
+    fan,
     fhat_on_ray,
     find_violated_direction,
     marginal_of_quasi,

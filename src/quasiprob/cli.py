@@ -33,6 +33,8 @@ from .spin import SpinState, expectations, feynman_choice, nonneg_window, zx_sum
 from .states import DirectionAB, WaveFunction, gaussian_state, oscillator_eigenstate, sampled_state
 from .tomography import (
     direction_residuals,
+    fan,
+    find_violated_direction,
     quantum_marginal,
     rectangle_modification,
     reconstruct_from_marginals,
@@ -51,7 +53,7 @@ REQUIRED = object()
 
 #: (name, converter, default) triples; REQUIRED means the option must come
 #: from a flag or the config file.
-GLOBAL_OPTS = [("hbar", float, 1.0), ("tol", float, None), ("out", str, ".")]
+GLOBAL_OPTS = [("hbar", float, 1.0), ("out", str, ".")]
 
 SUB_OPTS: dict[str, list[tuple[str, Callable, Any]]] = {
     "wigner": [
@@ -88,6 +90,7 @@ SUB_OPTS: dict[str, list[tuple[str, Callable, Any]]] = {
         ("half_height", float, 1.5),
         ("a", float, 1.0),
         ("b", float, 1.0),
+        ("tol", float, 1e-3),
     ],
     "weyl-check": [
         ("state", str, REQUIRED),
@@ -113,7 +116,6 @@ SUB_OPTS: dict[str, list[tuple[str, Callable, Any]]] = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hbar", type=float, default=argparse.SUPPRESS, help="Planck constant (default 1.0)")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="override decision tolerance where one applies")
     common.add_argument("--out", type=str, default=argparse.SUPPRESS, help="output directory (default .)")
     common.add_argument("--config", type=str, default=argparse.SUPPRESS, help="flat key=value config file")
 
@@ -131,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "t": "family parameter: a number, 'feynman' (= <Y>) or 'neg-feynman' (= -<Y>)",
         "values": "comma-separated outcome weights for discrete negativity",
         "dump_matrix": "also write the quantized operator as CSV",
+        "tol": "flag the modification when the worst oblique residual exceeds this (default 1e-3)",
     }
     help_txt = {
         "wigner": "phase-space quasi-distribution of a state",
@@ -318,11 +321,7 @@ def cmd_tomo(o: dict) -> dict:
         raise PreconditionError(f"tomo needs at least 2 directions, got {ndirs}")
     grid = square_grid(-8.0, 8.0, 128)
     zgrid = Grid1D(-32.0, 32.0, 512)
-    margs = []
-    for k in range(ndirs):
-        th = k * np.pi / ndirs
-        dvec = DirectionAB(float(np.cos(th)), float(np.sin(th)))
-        margs.append(quantum_marginal(psi, dvec, zgrid))
+    margs = [quantum_marginal(psi, d, zgrid) for d in fan(ndirs)]
     rec = reconstruct_from_marginals(margs, grid, o["hbar"])
     ref = wigner_transform(psi, grid)
     l2 = float(np.sqrt(np.sum((rec.values - ref.values) ** 2) * grid.gx.spacing * grid.gp.spacing))
@@ -331,16 +330,15 @@ def cmd_tomo(o: dict) -> dict:
         # probing the reconstruction: its marginals carry the (reported)
         # reconstruction error, so the unit-norm warning is redundant here
         warnings.simplefilter("ignore", UserWarning)
-        res = direction_residuals(rec, psi, probes)
-    kworst = int(np.argmax(res))
+        worst_theta, worst_residual = find_violated_direction(rec, psi, probes)
     report = {
         "kind": "tomo-report",
         "state": o["state"],
         "hbar": o["hbar"],
         "ndirs": ndirs,
         "l2_error": l2,
-        "worst_theta": float(probes[kworst]),
-        "worst_residual": float(res[kworst]),
+        "worst_theta": worst_theta,
+        "worst_residual": worst_residual,
     }
     return report
 
@@ -357,9 +355,7 @@ def cmd_tamper(o: dict) -> dict:
         raise PreconditionError(f"tamper kind must be rect or smooth, got {o['kind']!r}")
     axis_res = direction_residuals(mod, psi, [0.0, np.pi / 2])
     probes = [k * np.pi / 8 for k in range(1, 8) if k != 4]
-    res = direction_residuals(mod, psi, probes)
-    kworst = int(np.argmax(res))
-    threshold = o["tol"] if o["tol"] is not None else 1e-3
+    worst_theta, worst_residual = find_violated_direction(mod, psi, probes)
     report = {
         "kind": "tamper-report",
         "state": o["state"],
@@ -368,9 +364,9 @@ def cmd_tamper(o: dict) -> dict:
         "c": o["c"],
         "axis_residual_x": float(axis_res[0]),
         "axis_residual_p": float(axis_res[1]),
-        "worst_theta": float(probes[kworst]),
-        "worst_residual": float(res[kworst]),
-        "flagged": bool(res[kworst] > threshold),
+        "worst_theta": worst_theta,
+        "worst_residual": worst_residual,
+        "flagged": worst_residual > o["tol"],
     }
     return report
 
@@ -488,6 +484,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 1
     sys.stdout.write(text)
     if ns.subcommand == "verify":

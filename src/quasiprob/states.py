@@ -109,9 +109,9 @@ def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sample
 class DirectionAB:
     """Direction (a, b) of the combination z = a x + b p; raw values kept.
 
-    The canonical form (unit norm, a > 0, or a = 0 and b = 1) is what
-    reconstruction keys on; marginal operations use the raw components since
-    scaling (a, b) rescales the marginal variable.
+    The canonical form (unit norm, a > 0, or a = 0 and b = 1) gives the
+    angle theta; marginal operations use the raw components since scaling
+    (a, b) rescales the marginal variable.
     """
 
     a: float

@@ -143,46 +143,41 @@ def verify_j2m(f: QuasiDistribution, d: DirectionAB) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
+def fan(ndirs: int) -> list[DirectionAB]:
+    """The ndirs equally spaced unit directions (cos k pi/ndirs, sin k pi/ndirs),
+    k < ndirs: the angle set reconstruct_from_marginals takes, in this order."""
+    return [DirectionAB(float(np.cos(k * np.pi / ndirs)), float(np.sin(k * np.pi / ndirs))) for k in range(ndirs)]
+
+
 def reconstruct_from_marginals(
     marginals: Sequence[Marginal], grid: Grid2D, hbar: float = 1.0
 ) -> QuasiDistribution:
-    """Assemble f from direction-tagged marginals by the slice identity.
+    """Assemble f from the marginals along fan(M), in order, by the slice identity.
 
-    Each marginal is transformed to a radial line of fhat; lines are sorted by
-    canonical angle theta in [0, pi) with the wrap row using fhat's point
-    symmetry ghat_{theta+pi}(zeta) = ghat_theta(-zeta); bilinear interpolation
-    in (theta, signed radius) fills the Cartesian frequency lattice, and a 2-D
-    inverse transform lands on the requested grid.
+    Marginal k is transformed to the radial line of fhat at angle k pi/M; the
+    wrap row uses fhat's point symmetry ghat_{theta+pi}(zeta) =
+    ghat_theta(-zeta); bilinear interpolation in (theta, signed radius) fills
+    the Cartesian frequency lattice, and a 2-D inverse transform lands on the
+    requested grid.  Fewer than 8 directions (a gap above pi/8) warn.
     """
-    if len(marginals) < 2:
+    M = len(marginals)
+    if M < 2:
         raise PreconditionError("reconstruction needs at least 2 directions")
     zgrid = marginals[0].grid
     if any(m.grid != zgrid for m in marginals):
         raise PreconditionError("all marginals must share one z-grid")
-
-    order = np.argsort([m.direction.theta for m in marginals])
-    ms = [marginals[int(i)] for i in order]
-    th = np.array([m.direction.theta for m in ms])
-    # signed scale relating the raw direction to the folded unit vector:
-    # (a, b) = scale * (cos theta, sin theta), with |scale| = norm and the sign
-    # negative when theta in (pi/2, pi) folded the raw vector across the origin
-    scale = np.array(
-        [np.cos(m.direction.theta) * m.direction.a + np.sin(m.direction.theta) * m.direction.b for m in ms]
-    )
-    M = len(ms)
-
-    gaps = np.diff(np.concatenate([th, [th[0] + np.pi]]))
-    big = [(float(th[i]), float(gaps[i])) for i in np.nonzero(gaps > np.pi / 8)[0]]
-    if big:
-        warnings.warn(
-            "reconstruction coverage gaps above pi/8 after angle "
-            + ", ".join(f"{t:.3f} (gap {g:.3f})" for t, g in big),
-            stacklevel=2,
-        )
+    for k, (m, d) in enumerate(zip(marginals, fan(M))):
+        if abs(m.direction.a - d.a) > 1e-12 or abs(m.direction.b - d.b) > 1e-12:
+            raise PreconditionError(
+                f"marginal {k} lies along ({m.direction.a!r}, {m.direction.b!r}), "
+                f"not along fan({M})[{k}] = (cos {k}pi/{M}, sin {k}pi/{M})"
+            )
+    if M < 8:
+        warnings.warn(f"reconstruction coverage gap pi/{M} = {np.pi / M:.3f} is above pi/8", stacklevel=2)
 
     gz = zgrid.dual()
     zeta0, dzeta, nz = gz.min, gz.spacing, gz.n
-    stack = np.stack([m.values.astype(complex) for m in ms])
+    stack = np.stack([m.values.astype(complex) for m in marginals])
     fhat_polar = ft_core(stack, zgrid, gz, -1, axis=1) / SQRT2PI
 
     ga, gb = grid.gx.dual(), grid.gp.dual()
@@ -193,15 +188,16 @@ def reconstruct_from_marginals(
     theta_pt = np.where(neg, phi + np.pi, phi)
     rho = np.where(neg, -r, r)  # signed radius along the canonical direction
 
-    i_lo = np.clip(np.searchsorted(th, theta_pt, side="right") - 1, 0, M - 1)
+    u = theta_pt / (np.pi / M)
+    i_lo = np.minimum(np.floor(u).astype(int), M - 1)
     i_hi = (i_lo + 1) % M
     wrap = i_lo == M - 1
-    w_ang = (theta_pt - th[i_lo]) / gaps[i_lo]
+    w_ang = u - i_lo
 
     def sample(idx, rho_val, flip):
         # linear interpolation of row idx at signed radius, zero past the window
         rv = np.where(flip, -rho_val, rho_val)
-        u = (rv / scale[idx] - zeta0) / dzeta
+        u = (rv - zeta0) / dzeta
         j = np.floor(u).astype(int)
         frac = u - j
         ok = (j >= 0) & (j < nz - 1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quasiprob
+from quasiprob import cli
 from quasiprob.cli import main
 from quasiprob.serial import load_schema, write_sampled_csv
 from quasiprob.numerics import Grid1D, SampledFunction1D
@@ -130,6 +131,49 @@ def test_tamper_subcommand_flags_oblique(tmp_path, capsys):
     assert rep["flagged"] is True
 
 
+def test_tamper_tol_sets_the_flag_threshold(tmp_path, capsys):
+    code, rep = run(["tamper", "--kind", "smooth", "--c", "0.1", "--tol", "0.5", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert 1e-3 < rep["worst_residual"] < 0.5
+    assert rep["flagged"] is False
+
+
+def test_tol_is_only_a_tamper_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["wigner", "--state", "hermite:0", "--tol", "1e-3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+TOMO_ARGS = ["tomo", "--state", "gaussian:0.5,-0.7,0.9", "--ndirs", "16"]
+
+
+def test_tomo_subcommand(tmp_path, capsys):
+    code, rep = run(TOMO_ARGS + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    jsonschema.validate(rep, SCHEMA)
+    assert rep["l2_error"] < 5e-3
+    assert rep["worst_theta"] in [k * np.pi / 16 for k in range(16)]
+
+
+def test_tomo_one_direction_exits_1(tmp_path, capsys):
+    assert main(["tomo", "--state", "hermite:0", "--ndirs", "1", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def exhausted(o):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setitem(cli.HANDLERS, "wigner", exhausted)
+    assert main(["wigner", "--state", "hermite:0", "--n", "100000", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (tmp_path / "wigner.json").exists()
+
+
 def test_file_state_roundtrip(tmp_path, capsys):
     g = Grid1D(-12.0, 12.0, 384)
     psi = oscillator_eigenstate(0)
@@ -160,6 +204,9 @@ def test_byte_identical_rerun(tmp_path, capsys):
     run(args + ["--out", str(tmp_path / "d")], capsys)
     for name in ("weyl_matrix.csv", "weyl_check.json"):
         assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+    run(TOMO_ARGS + ["--out", str(tmp_path / "e")], capsys)
+    run(TOMO_ARGS + ["--out", str(tmp_path / "f")], capsys)
+    assert (tmp_path / "e" / "tomo.json").read_bytes() == (tmp_path / "f" / "tomo.json").read_bytes()
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -260,6 +307,8 @@ def test_bad_config_path_errors(capsys, tmp_path):
         ["weyl-check", "--g", "xp", "--state", "hermite:1", "--dim", "12"],
         ["spin", "--state", "1,0"],
         ["negativity", "--values", "0.6,-0.1,0.3,-0.0,1e-05"],
+        TOMO_ARGS,
+        ["tamper", "--kind", "rect"],
     ],
 )
 def test_stdout_repeats_report_file(tmp_path, capsys, argv):

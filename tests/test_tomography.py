@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from quasiprob.numerics import Grid1D, PreconditionError, square_grid
 from quasiprob.states import DirectionAB, gaussian_state
 from quasiprob.tomography import (
     direction_residuals,
+    fan,
     fhat_on_ray,
     find_violated_direction,
     marginal_of_quasi,
@@ -116,6 +120,45 @@ def test_reconstruction_off_center_state(mid_grid):
     assert rel < 2e-2
     ij = np.unravel_index(np.argmax(rec.values), rec.values.shape)
     assert rec.values[ij] == pytest.approx(1.0 / np.pi, rel=0.02)
+
+
+@pytest.fixture(scope="module")
+def ground_fan8(ground):
+    zg = Grid1D(-32.0, 32.0, 512)
+    return [quantum_marginal(ground, d, zg) for d in fan(8)]
+
+
+def test_fan_is_equally_spaced_unit_directions():
+    ds = fan(16)
+    assert [d.theta for d in ds] == pytest.approx([k * np.pi / 16 for k in range(16)], abs=1e-15)
+    assert [d.norm for d in ds] == pytest.approx([1.0] * 16, abs=1e-15)
+
+
+def test_reconstruction_eight_directions_do_not_warn(ground_fan8, mid_grid):
+    # the gap of pi/8 is the coverage limit, not past it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        reconstruct_from_marginals(ground_fan8, mid_grid)
+
+
+def test_reconstruction_four_directions_warn(ground_fan8, mid_grid):
+    # every other direction of fan(8) is fan(4)
+    with pytest.warns(UserWarning, match="coverage gap"):
+        reconstruct_from_marginals(ground_fan8[::2], mid_grid)
+
+
+@pytest.mark.parametrize("defect", ["shuffled", "scaled", "repeated"])
+def test_reconstruction_rejects_a_set_that_is_not_the_fan(ground_fan8, mid_grid, defect):
+    margs = list(ground_fan8)
+    if defect == "shuffled":
+        margs[2], margs[5] = margs[5], margs[2]
+    elif defect == "scaled":
+        d = margs[3].direction
+        margs[3] = dataclasses.replace(margs[3], direction=DirectionAB(2 * d.a, 2 * d.b))
+    else:
+        margs[4] = margs[3]
+    with pytest.raises(PreconditionError, match="marginal [2-4] "):
+        reconstruct_from_marginals(margs, mid_grid)
 
 
 def test_reconstruction_needs_two_directions(ground, mid_grid):
