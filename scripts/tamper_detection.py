@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from quasiprob.numerics import Grid1D, square_grid
+from quasiprob.numerics import square_grid
 from quasiprob.states import oscillator_eigenstate
 from quasiprob.tomography import direction_residuals, rectangle_modification, smooth_modification
 from quasiprob.wigner import wigner_transform
@@ -25,7 +25,6 @@ def main():
 
     psi = oscillator_eigenstate(0)
     grid = square_grid(-8.0, 8.0, 128)
-    zgrid = Grid1D(-8.0, 8.0, 128)
     f = wigner_transform(psi, grid)
     probes = [k * np.pi / 8 for k in range(1, 8) if k != 4]
 
@@ -35,7 +34,7 @@ def main():
             ("rect", rectangle_modification(f, 1.5, 1.5, c)),
             ("smooth", smooth_modification(f, 1.0, 1.0, c)),
         ):
-            res = direction_residuals(mod, psi, [0.0, np.pi / 2] + probes, zgrid)
+            res = direction_residuals(mod, psi, [0.0, np.pi / 2] + probes)
             axis, oblique = res[:2].max(), res[2:].max()
             print(f"{kind:<8s}{c:8.3f}{axis:16.2e}{oblique:18.6f}")
 

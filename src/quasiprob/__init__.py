@@ -8,7 +8,6 @@ from .numerics import (
     Grid2D,
     PreconditionError,
     SampledFunction1D,
-    SampledFunction2D,
     fourier_forward_1d,
     fourier_inverse_1d,
     quadrature_2d,

@@ -279,7 +279,7 @@ def cmd_charfn(o: dict) -> dict:
     a = g.points[:, None]
     vals = characteristic_function(psi, a, g.points)
     write_csv(Path(o["out"]) / "charfn.csv", ("alpha", "beta", "re", "im"), a, g.points, vals.real, vals.imag)
-    ia = int(np.argmin(np.abs(g.points)))
+    origin = characteristic_function(psi, 0.0, 0.0)
     report = {
         "kind": "charfn-meta",
         "state": o["state"],
@@ -288,8 +288,8 @@ def cmd_charfn(o: dict) -> dict:
             "alpha": {"min": g.min, "max": g.max, "n": g.n},
             "beta": {"min": g.min, "max": g.max, "n": g.n},
         },
-        "origin_re": float(vals[ia, ia].real),
-        "origin_im": float(vals[ia, ia].imag),
+        "origin_re": origin.real,
+        "origin_im": origin.imag,
         "files": {"csv": "charfn.csv"},
     }
     return report
@@ -322,7 +322,7 @@ def cmd_tomo(o: dict) -> dict:
     grid = square_grid(-8.0, 8.0, 128)
     zgrid = Grid1D(-32.0, 32.0, 512)
     margs = [quantum_marginal(psi, d, zgrid) for d in fan(ndirs)]
-    rec = reconstruct_from_marginals(margs, grid, o["hbar"])
+    rec = reconstruct_from_marginals(margs, grid)
     ref = wigner_transform(psi, grid)
     l2 = float(np.sqrt(np.sum((rec.values - ref.values) ** 2) * grid.gx.spacing * grid.gp.spacing))
     probes = [k * np.pi / min(ndirs, 16) for k in range(min(ndirs, 16))]

@@ -94,20 +94,6 @@ class SampledFunction1D:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class SampledFunction2D:
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape != self.grid.shape:
-            raise PreconditionError(f"value shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise PreconditionError("non-finite sample values")
-        object.__setattr__(self, "values", v)
-
-
 def warn_boundary(values: np.ndarray, what: str) -> None:
     """Warn when 1-D samples have not decayed at the grid edge (nice-function contract)."""
     v = np.abs(np.asarray(values))
@@ -156,6 +142,7 @@ def fourier_inverse_1d(g: SampledFunction1D, grid: Grid1D) -> SampledFunction1D:
     return SampledFunction1D(grid, ft_core(g.values, g.grid, grid, +1))
 
 
-def quadrature_2d(f: SampledFunction2D) -> complex:
-    inner = np.trapezoid(f.values, dx=f.grid.gp.spacing, axis=1)
-    return complex(np.trapezoid(inner, dx=f.grid.gx.spacing))
+def quadrature_2d(values: np.ndarray, grid: Grid2D) -> float:
+    """Trapezoidal integral over grid of real samples of shape grid.shape."""
+    inner = np.trapezoid(values, dx=grid.gp.spacing, axis=1)
+    return float(np.trapezoid(inner, dx=grid.gx.spacing))

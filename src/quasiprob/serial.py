@@ -31,30 +31,15 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
-def _plain(obj):
-    """Recursively coerce numpy scalars/arrays so json.dump accepts them."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
-
-
 def write_json(path: str | Path, obj: dict) -> str:
     """Write obj as strict JSON (sorted keys, trailing newline) and return the text.
 
-    A non-finite number is a PreconditionError, raised before anything is written.
+    numpy scalars and arrays are written as their .tolist() (np.float64 is a
+    float already).  A non-finite number is a PreconditionError, raised before
+    anything is written.
     """
     try:
-        text = json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=lambda v: v.tolist()) + "\n"
     except ValueError as e:
         raise PreconditionError(f"{Path(path).name}: report holds a non-finite number ({e})") from e
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

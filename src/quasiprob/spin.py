@@ -77,8 +77,8 @@ class SpinQuasiDist:
     def components(self) -> tuple[float, float, float, float]:
         return (self.fpp, self.fpm, self.fmp, self.fmm)
 
-    def nonnegative(self, tol: float = 0.0) -> bool:
-        return all(c >= -tol for c in self.components)
+    def nonnegative(self) -> bool:
+        return all(c >= 0 for c in self.components)
 
 
 def expectations(state: SpinState) -> tuple[float, float, float]:
@@ -111,14 +111,14 @@ def quasi_family(expZ: float, expX: float, t: float) -> SpinQuasiDist:
     )
 
 
-def feynman_choice(state: SpinState, t: float | str | None = None) -> SpinQuasiDist:
+def feynman_choice(state: SpinState, t: float | str = "feynman") -> SpinQuasiDist:
     """Quasi-distribution of a pure state with Feynman's t = <Y>.
 
-    t overrides the parameter: None or "feynman" takes <Y>, "neg-feynman"
-    takes -<Y> (nothing singles out one sign), a number is used as-is.
+    t overrides the parameter: "feynman" takes <Y>, "neg-feynman" takes
+    -<Y> (nothing singles out one sign), a number is used as-is.
     """
     ex, ey, ez = expectations(state)
-    if t is None or t == "feynman":
+    if t == "feynman":
         tval = ey
     elif t == "neg-feynman":
         tval = -ey
@@ -159,34 +159,20 @@ def marginal_residuals(
     )
 
 
-def zx_sum_spectrum_report(f: SpinQuasiDist, a: float = 1.0, b: float = 1.0) -> dict:
-    """Values of aZ + bX under the quasi-distribution versus its eigenvalues.
+def zx_sum_spectrum_report(f: SpinQuasiDist) -> dict:
+    """Values of Z + X under the quasi-distribution versus its eigenvalues.
 
-    Reading the table as a joint distribution assigns aZ + bX the values
-    a s_z + b s_x with weights f_{s_z s_x}; quantum mechanics allows only the
-    eigenvalues +-sqrt(a^2 + b^2).  The two sets are disjoint whenever both
-    coefficients are nonzero, which is the mismatch flag.
+    Reading the table as a joint distribution assigns Z + X the values
+    s_z + s_x = 2, 0, -2 with weights f_++, f_+- + f_-+, f_--; quantum
+    mechanics allows only the eigenvalues +-sqrt(2), which none of them
+    equals, so the mismatch flag is always set.
     """
-    pairs = [
-        (a + b, f.fpp),
-        (a - b, f.fpm),
-        (-a + b, f.fmp),
-        (-a - b, f.fmm),
-    ]
-    support: dict[float, float] = {}
-    for v, w in pairs:
-        # merge coinciding values (a=b gives a-b = -a+b = 0)
-        key = next((u for u in support if abs(u - v) <= ATOL), v)
-        support[key] = support.get(key, 0.0) + w
-    r = float(np.hypot(a, b))
-    eigs = (-r, r)
-    quasi = sorted(support, reverse=True)
-    mismatch = all(min(abs(q - e) for e in eigs) > ATOL for q in quasi)
+    r = float(np.hypot(1.0, 1.0))
     return {
-        "a": float(a),
-        "b": float(b),
-        "quasi_values": [float(q) for q in quasi],
-        "quasi_weights": [float(support[q]) for q in quasi],
-        "eigenvalues": [float(e) for e in eigs],
-        "mismatch": bool(mismatch),
+        "a": 1.0,
+        "b": 1.0,
+        "quasi_values": [2.0, 0.0, -2.0],
+        "quasi_weights": [f.fpp, 0.0 + f.fpm + f.fmp, f.fmm],
+        "eigenvalues": [-r, r],
+        "mismatch": True,
     }

@@ -21,11 +21,17 @@ DEFAULT_GRID = Grid1D(-16.0, 16.0, 512)
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Normalized state psi with an evaluator defined on all of R."""
+    """Normalized state psi with an evaluator defined on all of R.
+
+    The one owner of hbar: every transform of the state reads psi.hbar."""
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     hbar: float = 1.0
     label: str = "state"
+
+    def __post_init__(self):
+        if not (0.0 < self.hbar < np.inf):
+            raise PreconditionError(f"hbar must be positive, got {self.hbar}")
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(np.asarray(x, dtype=float))
@@ -35,8 +41,6 @@ def gaussian_state(x0: float, p0: float, sigma: float, hbar: float = 1.0) -> Wav
     """psi(x) = (pi sigma^2)^{-1/4} exp(-(x-x0)^2/(2 sigma^2) + i p0 x / hbar)."""
     if sigma <= 0:
         raise PreconditionError(f"sigma must be positive, got {sigma}")
-    if hbar <= 0:
-        raise PreconditionError(f"hbar must be positive, got {hbar}")
     norm = (np.pi * sigma**2) ** -0.25
 
     def evaluate(x):
@@ -66,11 +70,9 @@ def oscillator_eigenstate(n: int, hbar: float = 1.0) -> WaveFunction:
     """n-th eigenstate of the unit-frequency oscillator, width set by hbar."""
     if n < 0:
         raise PreconditionError(f"n must be nonnegative, got {n}")
-    if hbar <= 0:
-        raise PreconditionError(f"hbar must be positive, got {hbar}")
-    s = np.sqrt(hbar)
 
     def evaluate(x):
+        s = np.sqrt(hbar)
         return hermite_functions(n, x / s)[n] / np.sqrt(s) + 0j
 
     return WaveFunction(evaluate, hbar, f"hermite:{n}")

@@ -149,9 +149,7 @@ def fan(ndirs: int) -> list[DirectionAB]:
     return [DirectionAB(float(np.cos(k * np.pi / ndirs)), float(np.sin(k * np.pi / ndirs))) for k in range(ndirs)]
 
 
-def reconstruct_from_marginals(
-    marginals: Sequence[Marginal], grid: Grid2D, hbar: float = 1.0
-) -> QuasiDistribution:
+def reconstruct_from_marginals(marginals: Sequence[Marginal], grid: Grid2D) -> QuasiDistribution:
     """Assemble f from the marginals along fan(M), in order, by the slice identity.
 
     Marginal k is transformed to the radial line of fhat at angle k pi/M; the
@@ -211,7 +209,7 @@ def reconstruct_from_marginals(
 
     f = ft_core(fhat_cart, ga, grid.gx, +1, axis=0)
     f = ft_core(f, gb, grid.gp, +1, axis=1)
-    return QuasiDistribution(grid, f.real, hbar)
+    return QuasiDistribution(grid, f.real)
 
 
 def rectangle_modification(
@@ -231,7 +229,7 @@ def rectangle_modification(
     X, P = f.grid.meshgrid()
     inside = (np.abs(X) <= half_width) & (np.abs(P) <= half_height)
     pattern = np.sign(X) * np.sign(P) * inside
-    return QuasiDistribution(f.grid, f.values + c * pattern, f.hbar)
+    return QuasiDistribution(f.grid, f.values + c * pattern)
 
 
 def smooth_modification(
@@ -242,19 +240,14 @@ def smooth_modification(
     if a <= 0 or b <= 0:
         raise PreconditionError("decay rates a, b must be positive")
     X, P = f.grid.meshgrid()
-    return QuasiDistribution(f.grid, f.values + c * X * P * np.exp(-a * X**2 - b * P**2), f.hbar)
+    return QuasiDistribution(f.grid, f.values + c * X * P * np.exp(-a * X**2 - b * P**2))
 
 
-def direction_residuals(
-    f: QuasiDistribution,
-    psi: WaveFunction,
-    thetas: Sequence[float],
-    zgrid: Grid1D | None = None,
-) -> np.ndarray:
-    """Max-abs gap between f's marginal and the state's prediction per angle."""
-    if zgrid is None:
-        gx, gp = f.grid.gx, f.grid.gp
-        zgrid = gx if gx.spacing >= gp.spacing else gp
+def direction_residuals(f: QuasiDistribution, psi: WaveFunction, thetas: Sequence[float]) -> np.ndarray:
+    """Max-abs gap between f's marginal and the state's prediction per angle,
+    both on the coarser phase-space axis of f's grid."""
+    gx, gp = f.grid.gx, f.grid.gp
+    zgrid = gx if gx.spacing >= gp.spacing else gp
     out = np.empty(len(thetas))
     for i, t in enumerate(thetas):
         d = DirectionAB(float(np.cos(t)), float(np.sin(t)))
@@ -264,15 +257,10 @@ def direction_residuals(
     return out
 
 
-def find_violated_direction(
-    f: QuasiDistribution,
-    psi: WaveFunction,
-    thetas: Sequence[float],
-    zgrid: Grid1D | None = None,
-) -> tuple[float, float]:
+def find_violated_direction(f: QuasiDistribution, psi: WaveFunction, thetas: Sequence[float]) -> tuple[float, float]:
     """Angle with the worst marginal mismatch and that residual."""
     if len(thetas) == 0:
         raise PreconditionError("find_violated_direction needs at least one angle")
-    res = direction_residuals(f, psi, thetas, zgrid)
+    res = direction_residuals(f, psi, thetas)
     k = int(np.argmax(res))
     return (float(thetas[k]), float(res[k]))

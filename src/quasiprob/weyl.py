@@ -29,13 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (
-    Grid2D,
-    PreconditionError,
-    SampledFunction2D,
-    quadrature_2d,
-    square_grid,
-)
+from .numerics import Grid2D, PreconditionError, quadrature_2d, square_grid
 from .states import DEFAULT_GRID, WaveFunction, hermite_functions
 from .wigner import wigner_transform
 
@@ -230,5 +224,5 @@ def moyal_expectation_check(
 
     f = wigner_transform(psi, MOYAL_GRID)
     X, P = MOYAL_GRID.meshgrid()
-    rhs = float(quadrature_2d(SampledFunction2D(MOYAL_GRID, g.evaluate(X, P) * f.values)).real)
+    rhs = quadrature_2d(g.evaluate(X, P) * f.values, MOYAL_GRID)
     return lhs, rhs, abs(lhs - rhs)

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    Grid2D,
-    PreconditionError,
-    SQRT2PI,
-    ft_core,
-    quadrature_2d,
-    SampledFunction2D,
-)
+from .numerics import Grid2D, PreconditionError, SQRT2PI, ft_core, quadrature_2d
 from .states import DEFAULT_GRID, WaveFunction
 
 
@@ -38,7 +31,6 @@ class QuasiDistribution:
 
     grid: Grid2D
     values: np.ndarray
-    hbar: float = 1.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -49,7 +41,7 @@ class QuasiDistribution:
         object.__setattr__(self, "values", v)
 
     def integral(self) -> float:
-        return float(quadrature_2d(SampledFunction2D(self.grid, self.values)).real)
+        return quadrature_2d(self.values, self.grid)
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,6 @@ class CharacteristicFunction:
 
     grid: Grid2D
     values: np.ndarray
-    hbar: float = 1.0
 
 
 def characteristic_function(psi: WaveFunction, alpha, beta):
@@ -110,7 +101,7 @@ def characteristic_grid(psi: WaveFunction, grid: Grid2D) -> CharacteristicFuncti
             raise PreconditionError(
                 f"characteristic normalization off: |fhat(0,0) - 1/2pi| = {dev:.2e}"
             )
-    return CharacteristicFunction(grid, vals, psi.hbar)
+    return CharacteristicFunction(grid, vals)
 
 
 def wigner_transform(psi: WaveFunction, grid: Grid2D) -> QuasiDistribution:
@@ -137,7 +128,7 @@ def wigner_transform(psi: WaveFunction, grid: Grid2D) -> QuasiDistribution:
     imag = float(np.abs(f.imag).max())
     if imag > 1e-9:
         raise PreconditionError(f"wigner_transform imaginary residue {imag:.2e} above 1e-9")
-    q = QuasiDistribution(grid, f.real, h)
+    q = QuasiDistribution(grid, f.real)
     total = q.integral()
     if abs(total - 1.0) > 1e-8:
         raise PreconditionError(f"wigner_transform integral {total!r} not 1 within 1e-8")
@@ -157,7 +148,7 @@ def wigner_from_characteristic(cf: CharacteristicFunction) -> QuasiDistribution:
     scale = float(np.abs(out.real).max())
     if scale > 0 and imag > 1e-9 * max(1.0, scale):
         raise PreconditionError(f"wigner_from_characteristic imaginary residue {imag:.2e}")
-    return QuasiDistribution(target, out.real, cf.hbar)
+    return QuasiDistribution(target, out.real)
 
 
 def negative_volume(f) -> float:

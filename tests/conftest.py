@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasiprob.numerics import Grid1D, Grid2D, SampledFunction2D, square_grid
+from quasiprob.numerics import square_grid
 from quasiprob.states import gaussian_state, oscillator_eigenstate
 from quasiprob.wigner import QuasiDistribution
 
@@ -33,4 +33,4 @@ def bump_distribution(mid_grid):
     X, P = np.meshgrid(mid_grid.gx.points, mid_grid.gp.points, indexing="ij")
     vals = np.exp(-((X - x0) ** 2) / (2 * sx**2) - ((P - p0) ** 2) / (2 * sp**2))
     vals /= 2 * np.pi * sx * sp
-    return QuasiDistribution(mid_grid, vals, hbar=1.0)
+    return QuasiDistribution(mid_grid, vals)

@@ -13,7 +13,7 @@ from quasiprob import cli
 from quasiprob.cli import main
 from quasiprob.serial import load_schema, write_sampled_csv
 from quasiprob.numerics import Grid1D, SampledFunction1D
-from quasiprob.states import oscillator_eigenstate
+from quasiprob.states import gaussian_state, oscillator_eigenstate
 
 SCHEMA = load_schema()
 
@@ -101,9 +101,7 @@ def test_marginal_subcommand(tmp_path, capsys):
 
 
 def test_charfn_subcommand(tmp_path, capsys):
-    # even n keeps the origin on the probe lattice, where the
-    # characteristic function equals 1 for any normalized state
-    code, rep = run(["charfn", "--state", "gaussian:1,-1,1", "--n", "16", "--out", str(tmp_path)], capsys)
+    code, rep = run(["charfn", "--state", "gaussian:1,-1,1", "--n", "7", "--out", str(tmp_path)], capsys)
     assert code == 0
     jsonschema.validate(rep, SCHEMA)
     assert rep["origin_re"] == pytest.approx(1.0, abs=1e-10)
@@ -267,6 +265,31 @@ def test_malformed_state_file_exits_1(tmp_path, capsys, rows, sidecar):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["marginal", "--theta", "0.5", "--hbar", "0"],
+        ["charfn", "--hbar", "-1"],
+        ["weyl-check", "--g", "gauss", "--dim", "20", "--hbar", "0"],
+        ["weyl-check", "--g", "gauss", "--dim", "20", "--hbar", "-1"],
+        ["wigner", "--hbar", "0"],
+        ["negativity", "--hbar", "-1"],
+        ["tomo", "--ndirs", "4", "--hbar", "0"],
+    ],
+)
+def test_file_state_nonpositive_hbar_exits_1(tmp_path, capsys, argv):
+    g = Grid1D(-16.0, 16.0, 256)
+    path = tmp_path / "coh.csv"
+    write_sampled_csv(path, SampledFunction1D(g, gaussian_state(1.0, 0.5, 1.0)(g.points)))
+    out = tmp_path / "out"
+    assert main(argv + ["--state", f"file:{path}", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: hbar must be positive, got ")
+    assert not any(out.iterdir())
 
 
 def test_cli_import_loads_no_scipy():

@@ -66,7 +66,14 @@ def test_read_rejects_missing_file(tmp_path):
 
 
 def test_write_json_is_deterministic(tmp_path):
-    doc = {"b": np.float64(2.0), "a": [np.int64(1), 2.5], "nested": {"x": np.array([1.0, 2.0])}}
+    doc = {
+        "b": np.float64(2.0),
+        "a": [np.int64(1), 2.5],
+        "nested": {"x": np.array([1.0, 2.0])},
+        "flag": np.bool_(True),
+        "single": np.float32(0.5),
+        "pair": (1, np.int64(2)),
+    }
     p1, p2 = tmp_path / "1.json", tmp_path / "2.json"
     write_json(p1, doc)
     write_json(p2, doc)
@@ -74,6 +81,9 @@ def test_write_json_is_deterministic(tmp_path):
     loaded = json.loads(p1.read_text())
     assert loaded["b"] == 2.0
     assert loaded["nested"]["x"] == [1.0, 2.0]
+    assert loaded["flag"] is True
+    assert loaded["single"] == 0.5
+    assert loaded["pair"] == [1, 2]
 
 
 def test_wigner_csv_layout(tmp_path, ground, mid_grid):

@@ -93,6 +93,13 @@ def test_sampled_state_interpolates():
     assert np.max(np.abs(resampled(x) - base(x))) < 1e-8
 
 
+def test_sampled_state_rejects_nonpositive_hbar():
+    g = Grid1D(-12.0, 12.0, 384)
+    sf = SampledFunction1D(g, gaussian_state(0.0, 0.0, 1.0)(g.points))
+    with pytest.raises(PreconditionError, match="hbar must be positive"):
+        sampled_state(sf, hbar=0.0)
+
+
 def test_direction_canonicalization():
     d = DirectionAB(-1.0, -1.0)
     a, b = d.canonical()
