@@ -273,13 +273,20 @@ def cmd_wigner(o: dict) -> dict:
     return report
 
 
+def _require_unit(what: str, value: float) -> None:
+    """Fail closed, NaN included, when a normalization witness is off 1."""
+    if not abs(value - 1.0) <= 1e-6:
+        raise PreconditionError(f"{what} is {value!r}, not 1 within 1e-6")
+
+
 def cmd_charfn(o: dict) -> dict:
     psi = parse_state(o["state"], o["hbar"])
     g = _grid1("alpha", o["amin"], o["amax"], o["n"])
+    origin = characteristic_function(psi, 0.0, 0.0)
+    _require_unit("characteristic function at the origin", origin.real)
     a = g.points[:, None]
     vals = characteristic_function(psi, a, g.points)
     write_csv(Path(o["out"]) / "charfn.csv", ("alpha", "beta", "re", "im"), a, g.points, vals.real, vals.imag)
-    origin = characteristic_function(psi, 0.0, 0.0)
     report = {
         "kind": "charfn-meta",
         "state": o["state"],
@@ -300,7 +307,12 @@ def cmd_marginal(o: dict) -> dict:
     th = o["theta"]
     dvec = DirectionAB(float(np.cos(th)), float(np.sin(th)))
     zgrid = _grid1("z", o["zmin"], o["zmax"], o["zn"])
-    m = quantum_marginal(psi, dvec, zgrid)
+    with warnings.catch_warnings(record=True) as caught:
+        m = quantum_marginal(psi, dvec, zgrid)
+    # a failed norm is the one line of the exit; otherwise replay the warnings
+    _require_unit("marginal integral", m.integral())
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     write_csv(Path(o["out"]) / "marginal.csv", ("z", "g"), zgrid.points, m.values)
     report = {
         "kind": "marginal-meta",

@@ -1,4 +1,5 @@
-"""Uniform grids, unitary Fourier transforms, and 2-D quadrature.
+"""Uniform grids, unitary Fourier transforms, band-limited interpolation
+weights, and 2-D quadrature.
 
 Transform convention (angular frequency, symmetric normalization):
 
@@ -140,6 +141,31 @@ def fourier_forward_1d(f: SampledFunction1D) -> SampledFunction1D:
 def fourier_inverse_1d(g: SampledFunction1D, grid: Grid1D) -> SampledFunction1D:
     """Inverse transform back onto `grid`, a dual of g's grid."""
     return SampledFunction1D(grid, ft_core(g.values, g.grid, grid, +1))
+
+
+def sinc_weights(u, n: int) -> np.ndarray:
+    """sinc(u - m) for m = 0..n-1, shape u.shape + (n,); u in sample units.
+
+    The Whittaker (band-limited) interpolation weights of n samples.  With
+    k = rint(u) and r = u - k, sin(pi (u - m)) = (-1)^(k-m) sin(pi r): one
+    sine per point, of the reduced r so it stays exact far from the origin,
+    and one division per (point, sample), with (-1)^m moved into the
+    denominator.  Exact hits u == m give 1 without dividing by zero.
+    """
+    u = np.asarray(u, dtype=float)
+    col = u.reshape(-1, 1)
+    k = np.rint(col)
+    s = np.sin(np.pi * (col - k)) / np.pi * np.where(k % 2, -1.0, 1.0)
+    m = np.arange(n, dtype=float)
+    w = np.empty((col.size, n))
+    np.subtract(col, m[0::2], out=w[:, 0::2])
+    np.subtract(m[1::2], col, out=w[:, 1::2])
+    hit = np.flatnonzero((col == k) & (k >= 0) & (k < n))
+    hit = (hit, k[hit, 0].astype(int))
+    w[hit] = 1.0  # s is 0 there
+    np.divide(s, w, out=w)
+    w[hit] = 1.0
+    return w.reshape(u.shape + (n,))
 
 
 def quadrature_2d(values: np.ndarray, grid: Grid2D) -> float:

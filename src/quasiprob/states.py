@@ -8,15 +8,19 @@ analytically; grid-sampled states use band-limited (Whittaker) interpolation.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .numerics import Grid1D, PreconditionError, SampledFunction1D, warn_boundary
+from .numerics import Grid1D, PreconditionError, SampledFunction1D, sinc_weights, warn_boundary
 
 #: Working grid for unit-width states at hbar=1; boundary amplitude < 1e-50.
 DEFAULT_GRID = Grid1D(-16.0, 16.0, 512)
+
+#: Evaluation points per interpolation batch in sampled_state's evaluator.
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,8 @@ def oscillator_eigenstate(n: int, hbar: float = 1.0) -> WaveFunction:
 
 
 def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sampled") -> WaveFunction:
-    """State from grid samples; evaluates anywhere by Whittaker interpolation.
+    """State from grid samples; evaluates anywhere by Whittaker interpolation,
+    the weights coming from numerics.sinc_weights.
 
     Samples are renormalized to unit L2 norm (with a warning when the
     adjustment is large); the boundary-decay contract is checked.
@@ -89,19 +94,16 @@ def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sample
     if nrm == 0:
         raise PreconditionError("sampled state has zero norm")
     if abs(nrm - 1.0) > 1e-6:
-        import warnings
-
         warnings.warn(f"sampled state renormalized (norm was {nrm:.6g})", stacklevel=2)
     vals = np.asarray(sf.values, dtype=complex) / nrm
     grid = sf.grid
 
-    def evaluate(x, _chunk=256):
+    def evaluate(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         flat = x.ravel()
         out = np.empty(flat.size, dtype=complex)
-        for i in range(0, flat.size, _chunk):
-            w = np.sinc((flat[i : i + _chunk, None] - grid.points[None, :]) / grid.spacing)
-            out[i : i + _chunk] = w @ vals
+        for i in range(0, flat.size, CHUNK):
+            out[i : i + CHUNK] = sinc_weights((flat[i : i + CHUNK] - grid.min) / grid.spacing, grid.n) @ vals
         return out.reshape(x.shape)
 
     return WaveFunction(evaluate, hbar, label)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import Grid1D, Grid2D, PreconditionError, SQRT2PI, ft_core
+from .numerics import Grid1D, Grid2D, PreconditionError, SQRT2PI, ft_core, sinc_weights
 from .states import DirectionAB, WaveFunction
 from .wigner import QuasiDistribution, characteristic_function
 
@@ -61,13 +61,13 @@ def marginal_of_quasi(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D) -> Ma
     values = f.values
     if abs(b) < abs(a):
         a, b, gx, gp, values = b, a, gp, gx, values.T
-    x, p = gx.points, gp.points
+    x = gx.points
     z = zgrid.points
     vals = np.empty(zgrid.n)
     for i in range(0, zgrid.n, CHUNK):
         zc = z[i : i + CHUNK, None]
         pstar = (zc - a * x[None, :]) / b  # (j, k)
-        w = np.sinc((pstar[:, :, None] - p[None, None, :]) / gp.spacing)
+        w = sinc_weights((pstar - gp.min) / gp.spacing, gp.n)
         rows = np.einsum("km,jkm->jk", values, w)
         vals[i : i + CHUNK] = np.trapezoid(rows, dx=gx.spacing, axis=1) / abs(b)
     peak = np.abs(vals).max()

@@ -119,3 +119,27 @@ DISCRETE_NEGATIVE_VOLUME = 0.1
 def apply_P(values, dx, hbar=1.0):
     k = 2.0 * np.pi * np.fft.fftfreq(len(values), dx)
     return hbar * np.fft.ifft(k * np.fft.fft(values))
+
+
+# Band-limited (Whittaker) interpolation as numpy's own sinc writes it,
+# sin(pi t)/(pi t) with 1 at t = 0: the weights sinc(u - m) of n unit-spaced
+# samples at u in sample units, shape u.shape + (n,).
+def sinc_weights(u, n):
+    return np.sinc(np.asarray(u, dtype=float)[..., None] - np.arange(n))
+
+
+# psi at points x from samples v on the lattice x0 + m dx, by Whittaker
+# interpolation sum_m v_m sinc((x - x_m)/dx) in physical units.
+def whittaker(x, x0, dx, v):
+    xm = x0 + dx * np.arange(len(v))
+    return np.sinc((np.asarray(x, dtype=float)[..., None] - xm) / dx) @ v
+
+
+# Line-integral marginal of f[k, m] (lattices x_k, p_m) along a x + b p = z
+# for |b| >= |a|: f interpolated in p at p* = (z - a x)/b by np.sinc, then
+# the trapezoid rule over x, times the density factor 1/|b|.
+def line_marginal(values, x, dx, p, dp, a, b, z):
+    pstar = (np.asarray(z)[:, None] - a * x[None, :]) / b
+    w = np.sinc((pstar[:, :, None] - p[None, None, :]) / dp)
+    rows = np.einsum("km,jkm->jk", values, w)
+    return np.trapezoid(rows, dx=dx, axis=1) / abs(b)

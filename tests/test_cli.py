@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -289,6 +290,28 @@ def test_file_state_nonpositive_hbar_exits_1(tmp_path, capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: hbar must be positive, got ")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["marginal", "--state", "hermite:0", "--theta", "0.3"],
+        ["charfn", "--state", "hermite:2"],
+    ],
+)
+def test_tiny_hbar_fails_on_the_norm_witness(tmp_path, capsys, argv):
+    # a state of width sqrt(1e-300) falls between the working grid's points;
+    # the marginal integral (3.5e148) or chi(0, 0) (1.76e148) is off 1
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--hbar", "1e-300", "--out", str(out)]) == 1
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "not 1 within 1e-6" in lines[0]
     assert not any(out.iterdir())
 
 

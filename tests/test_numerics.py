@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracles as oracle
 from quasiprob.numerics import (
     Grid1D,
     Grid2D,
@@ -11,6 +12,7 @@ from quasiprob.numerics import (
     fourier_inverse_1d,
     ft_core,
     quadrature_2d,
+    sinc_weights,
     square_grid,
 )
 
@@ -148,3 +150,22 @@ def test_boundary_warning_fires_on_clipped_input():
     f = gauss_on(g, 0.0, 2.0)  # nowhere near decayed at the edges
     with pytest.warns(UserWarning):
         fourier_forward_1d(f)
+
+
+@pytest.mark.parametrize(
+    "u, n",
+    [
+        (np.random.default_rng(7).uniform(-3.0, 35.0, 400), 32),  # random in [-3, n+3]
+        (np.arange(-5.0, 38.0), 32),  # exact integers inside and outside [0, n)
+        (-np.random.default_rng(8).uniform(0.0, 50.0, 100), 16),  # negative
+        (np.random.default_rng(9).uniform(-3.0, 19.0, (7, 9)), 16),  # 2-D
+        (np.array([1000.0 + 1e-9, 999.5, 1000.0]), 1002),  # unreduced sin(pi u) is off here
+        (2.0, 4),  # 0-d
+    ],
+    ids=["random", "integers", "negative", "2d", "far-from-origin", "scalar"],
+)
+def test_sinc_weights_match_numpy_sinc(u, n):
+    w = sinc_weights(u, n)
+    assert w.shape == np.shape(u) + (n,)
+    assert np.max(np.abs(w - oracle.sinc_weights(u, n))) <= 4e-16
+

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from quasiprob.cli import parse_state
 from quasiprob.numerics import Grid1D, PreconditionError, SampledFunction1D
+from quasiprob.serial import write_sampled_csv
 from quasiprob.states import (
     DEFAULT_GRID,
     DirectionAB,
@@ -91,6 +95,21 @@ def test_sampled_state_interpolates():
     resampled = sampled_state(SampledFunction1D(g, base(g.points)))
     x = np.linspace(-3, 3, 50)
     assert np.max(np.abs(resampled(x) - base(x))) < 1e-8
+
+
+def test_sampled_state_matches_whittaker_oracle(tmp_path):
+    # the evaluator of a file: state against the np.sinc formula, at points
+    # on, between and beyond the samples, in a 2-D shape
+    g = Grid1D(-8.0, 8.0, 128)
+    v = oscillator_eigenstate(3)(g.points)
+    write_sampled_csv(tmp_path / "h3.csv", SampledFunction1D(g, v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # edge 2.4e-11 of max
+        psi = parse_state(f"file:{tmp_path / 'h3.csv'}", 1.0)
+    vals = v / np.sqrt(np.trapezoid(np.abs(v) ** 2, dx=g.spacing))
+    x = np.concatenate([g.points, np.linspace(-11.0, 11.0, 1024)]).reshape(3, -1)
+    ref = oracle.whittaker(x, g.min, g.spacing, vals + 0j)
+    assert np.max(np.abs(psi(x) - ref)) <= 1e-15
 
 
 def test_sampled_state_rejects_nonpositive_hbar():

@@ -75,6 +75,20 @@ def test_marginal_of_quasi_mirror_branch(coherent23):
     assert np.max(np.abs(mq.values - mm.values)) < 1e-8
 
 
+@pytest.mark.parametrize("ab", [(0.6, 0.8), (0.96, -0.28)], ids=["p-lookup", "x-lookup"])
+def test_marginal_of_quasi_matches_sinc_oracle(bump_distribution, ab):
+    f = bump_distribution
+    gx, gp = f.grid.gx, f.grid.gp
+    zg = Grid1D(-10.0, 10.0, 96)
+    m = marginal_of_quasi(f, DirectionAB(*ab), zg)
+    a, b = ab
+    if abs(b) >= abs(a):
+        ref = oracle.line_marginal(f.values, gx.points, gx.spacing, gp.points, gp.spacing, a, b, zg.points)
+    else:
+        ref = oracle.line_marginal(f.values.T, gp.points, gp.spacing, gx.points, gx.spacing, b, a, zg.points)
+    assert np.max(np.abs(m.values - ref)) <= 1e-15
+
+
 def test_j2m_residuals_small_for_wigner(ground, excited, mid_grid):
     f0 = wigner_transform(ground, mid_grid)
     f1 = wigner_transform(excited, mid_grid)
