@@ -28,7 +28,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .numerics import Grid1D, Grid2D, PreconditionError, square_grid
-from .serial import read_sampled_csv, write_csv, write_json, write_matrix_txt
+from .serial import read_sampled_csv, write_csv, write_json, write_wigner_csv
 from .spin import SpinState, expectations, feynman_choice, nonneg_window, zx_sum_spectrum_report
 from .states import DirectionAB, WaveFunction, gaussian_state, oscillator_eigenstate, sampled_state
 from .tomography import (
@@ -255,8 +255,7 @@ def cmd_wigner(o: dict) -> dict:
     grid = Grid2D(_grid1("x", o["xmin"], o["xmax"], o["n"]), _grid1("p", pmin, pmax, pn))
     f = wigner_transform(psi, grid)
     d = Path(o["out"])
-    write_csv(d / "wigner.csv", ("x", "p", "f"), grid.gx.points[:, None], grid.gp.points, f.values)
-    write_matrix_txt(d / "wigner_matrix.txt", f.values)
+    write_wigner_csv(d / "wigner.csv", d / "wigner_matrix.txt", grid.gx.points, grid.gp.points, f.values)
     report = {
         "kind": "wigner-meta",
         "state": o["state"],
@@ -277,6 +276,18 @@ def _require_unit(what: str, value: float) -> None:
     """Fail closed, NaN included, when a normalization witness is off 1."""
     if not abs(value - 1.0) <= 1e-6:
         raise PreconditionError(f"{what} is {value!r}, not 1 within 1e-6")
+
+
+def _unit_marginals(psi, dirs, zgrid: Grid1D) -> list:
+    """quantum_marginal along each direction; a norm off 1 is the one line of
+    the exit, otherwise the marginals' warnings are replayed."""
+    with warnings.catch_warnings(record=True) as caught:
+        margs = [quantum_marginal(psi, d, zgrid) for d in dirs]
+    for m in margs:
+        _require_unit("marginal integral", m.integral())
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return margs
 
 
 def cmd_charfn(o: dict) -> dict:
@@ -307,12 +318,7 @@ def cmd_marginal(o: dict) -> dict:
     th = o["theta"]
     dvec = DirectionAB(float(np.cos(th)), float(np.sin(th)))
     zgrid = _grid1("z", o["zmin"], o["zmax"], o["zn"])
-    with warnings.catch_warnings(record=True) as caught:
-        m = quantum_marginal(psi, dvec, zgrid)
-    # a failed norm is the one line of the exit; otherwise replay the warnings
-    _require_unit("marginal integral", m.integral())
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    (m,) = _unit_marginals(psi, [dvec], zgrid)
     write_csv(Path(o["out"]) / "marginal.csv", ("z", "g"), zgrid.points, m.values)
     report = {
         "kind": "marginal-meta",
@@ -333,7 +339,7 @@ def cmd_tomo(o: dict) -> dict:
         raise PreconditionError(f"tomo needs at least 2 directions, got {ndirs}")
     grid = square_grid(-8.0, 8.0, 128)
     zgrid = Grid1D(-32.0, 32.0, 512)
-    margs = [quantum_marginal(psi, d, zgrid) for d in fan(ndirs)]
+    margs = _unit_marginals(psi, fan(ndirs), zgrid)
     rec = reconstruct_from_marginals(margs, grid)
     ref = wigner_transform(psi, grid)
     l2 = float(np.sqrt(np.sum((rec.values - ref.values) ** 2) * grid.gx.spacing * grid.gp.spacing))

@@ -128,8 +128,22 @@ def read_sampled_csv(path: str | Path) -> SampledFunction1D:
     return SampledFunction1D(grid, np.array(vals))
 
 
-def write_matrix_txt(path: str | Path, values: np.ndarray) -> None:
-    """Whitespace-separated matrix, one row per line, for plotters."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in np.atleast_2d(np.asarray(values, dtype=float)):
-            fh.write(" ".join(map(repr, row.tolist())) + "\n")
+def write_wigner_csv(path: str | Path, matrix_path: str | Path, x, p, values) -> None:
+    """wigner.csv, (x, p, f) rows x-major as write_csv writes them, and the
+    plotter matrix of f (one whitespace-separated row per line) in one pass.
+
+    Each value of f is formatted once, for both files; each x once per row and
+    each p once per call.  f is converted to Python floats one row at a time,
+    so the pass holds one row of strings, never a table of all of f.
+    """
+    pcs = [repr(v) + "," for v in np.asarray(p, dtype=float).tolist()]
+    with (
+        open(path, "w", encoding="utf-8", newline="\n") as fh,
+        open(matrix_path, "w", encoding="utf-8", newline="\n") as mh,
+    ):
+        fh.write("x,p,f\n")
+        for xv, row in zip(np.asarray(x, dtype=float).tolist(), np.asarray(values, dtype=float), strict=True):
+            vs = list(map(repr, row.tolist()))
+            mh.write(" ".join(vs) + "\n")
+            xr = repr(xv) + ","
+            fh.write("".join([xr + pc + v + "\n" for pc, v in zip(pcs, vs, strict=True)]))

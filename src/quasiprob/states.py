@@ -48,7 +48,10 @@ def gaussian_state(x0: float, p0: float, sigma: float, hbar: float = 1.0) -> Wav
     norm = (np.pi * sigma**2) ** -0.25
 
     def evaluate(x):
-        return norm * np.exp(-((x - x0) ** 2) / (2 * sigma**2) + 1j * p0 * x / hbar)
+        # far out (x near 1e300 at huge hbar) the square overflows to inf and
+        # exp gives the exact 0, so the overflow is not an error
+        with np.errstate(over="ignore"):
+            return norm * np.exp(-((x - x0) ** 2) / (2 * sigma**2) + 1j * p0 * x / hbar)
 
     return WaveFunction(evaluate, hbar, f"gaussian({x0},{p0},{sigma})")
 
@@ -95,15 +98,18 @@ def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sample
         raise PreconditionError("sampled state has zero norm")
     if abs(nrm - 1.0) > 1e-6:
         warnings.warn(f"sampled state renormalized (norm was {nrm:.6g})", stacklevel=2)
-    vals = np.asarray(sf.values, dtype=complex) / nrm
+    # (n, 2) real view (re, im) of the samples: the real weights multiply it
+    # without first being copied to complex
+    vals = (np.asarray(sf.values, dtype=complex) / nrm).view(float).reshape(-1, 2)
     grid = sf.grid
 
     def evaluate(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         flat = x.ravel()
         out = np.empty(flat.size, dtype=complex)
+        pairs = out.view(float).reshape(-1, 2)
         for i in range(0, flat.size, CHUNK):
-            out[i : i + CHUNK] = sinc_weights((flat[i : i + CHUNK] - grid.min) / grid.spacing, grid.n) @ vals
+            pairs[i : i + CHUNK] = sinc_weights((flat[i : i + CHUNK] - grid.min) / grid.spacing, grid.n) @ vals
         return out.reshape(x.shape)
 
     return WaveFunction(evaluate, hbar, label)

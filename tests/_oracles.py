@@ -143,3 +143,16 @@ def line_marginal(values, x, dx, p, dp, a, b, z):
     w = np.sinc((pstar[:, :, None] - p[None, None, :]) / dp)
     rows = np.einsum("km,jkm->jk", values, w)
     return np.trapezoid(rows, dx=dx, axis=1) / abs(b)
+
+
+# wigner.csv and wigner_matrix.txt as two passes wrote them: write_csv's row
+# join formats x, p and f for every row, and the matrix dump formats every
+# value of f again, one row per line.
+def wigner_csv_text(x, p, values):
+    cols = [np.atleast_2d(c) for c in np.broadcast_arrays(np.asarray(x)[:, None], p, values)]
+    rows = (row for block in zip(*cols) for row in zip(*(b.ravel().tolist() for b in block)))
+    return "x,p,f\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def matrix_txt_text(values):
+    return "".join(" ".join(map(repr, row.tolist())) + "\n" for row in np.atleast_2d(np.asarray(values, dtype=float)))

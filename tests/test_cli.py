@@ -315,6 +315,32 @@ def test_tiny_hbar_fails_on_the_norm_witness(tmp_path, capsys, argv):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "--state", "hermite:1"],
+        ["wigner", "--state", "gaussian:0,0,1"],
+        ["charfn", "--state", "hermite:1"],
+        ["marginal", "--state", "hermite:1", "--theta", "0.3"],
+        ["tomo", "--state", "hermite:1", "--ndirs", "4"],
+    ],
+)
+def test_huge_hbar_exits_1_with_one_line(tmp_path, capsys, argv):
+    # at hbar = 1e300 a Hermite state is 1e150 wide and a Gaussian's shifted
+    # copies lie near 1e300, so each witness misses 1 (an integral or chi(0, 0)
+    # of 0 to 0.99) and fails with no warning ahead of its line
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--hbar", "1e300", "--out", str(out)]) == 1
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not any(out.iterdir())
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests as a reference
     src = str(Path(quasiprob.__file__).parents[1])

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
+import _oracles as oracle
 from quasiprob.numerics import Grid1D, PreconditionError, SampledFunction1D
 from quasiprob.serial import (
     load_schema,
@@ -11,8 +13,8 @@ from quasiprob.serial import (
     schema_path,
     write_csv,
     write_json,
-    write_matrix_txt,
     write_sampled_csv,
+    write_wigner_csv,
 )
 from quasiprob.states import gaussian_state
 
@@ -99,7 +101,7 @@ def test_wigner_csv_layout(tmp_path, ground, mid_grid):
 
 def test_matrix_txt_plotter_format(tmp_path):
     path = tmp_path / "m.txt"
-    write_matrix_txt(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    write_wigner_csv(tmp_path / "w.csv", path, np.arange(2.0), np.arange(2.0), np.array([[1.0, 2.0], [3.0, 4.0]]))
     rows = path.read_text().splitlines()
     assert len(rows) == 2
     assert [float(v) for v in rows[0].split()] == [1.0, 2.0]
@@ -143,10 +145,52 @@ def test_wigner_csv_bytes(tmp_path):
     )
 
 
+def test_wigner_writer_csv_bytes(tmp_path):
+    x, p = Grid1D(-1.0, 1.0, 2).points, Grid1D(0.0, 3.0, 3).points  # n != pn
+    path = tmp_path / "wigner.csv"
+    write_wigner_csv(path, tmp_path / "wigner_matrix.txt", x, p, REAL)
+    assert path.read_bytes() == (
+        b"x,p,f\n"
+        b"-1.0,0.0,-0.0\n-1.0,1.0,1e-05\n-1.0,2.0,1e+16\n"
+        b"0.0,0.0,5e-324\n0.0,1.0,0.1\n0.0,2.0,-2.5\n"
+    )
+
+
 def test_matrix_txt_bytes(tmp_path):
+    x, p = Grid1D(-1.0, 1.0, 2).points, Grid1D(0.0, 3.0, 3).points
     path = tmp_path / "wigner_matrix.txt"
-    write_matrix_txt(path, REAL)
+    write_wigner_csv(tmp_path / "wigner.csv", path, x, p, REAL)
     assert path.read_bytes() == b"-0.0 1e-05 1e+16\n5e-324 0.1 -2.5\n"
+
+
+def test_wigner_writer_matches_the_two_pass_oracle(tmp_path):
+    # non-square, exponents from -320 (subnormal) to +300, signed zeros
+    rng = np.random.default_rng(14)
+
+    def draw(shape):
+        v = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-320, 301, shape)
+        v.flat[rng.choice(v.size, 4, replace=False)] = [0.0, -0.0, 0.0, -0.0]
+        return v
+
+    x, p, f = draw(9), draw(13), draw((9, 13))
+    csv, matrix = tmp_path / "wigner.csv", tmp_path / "wigner_matrix.txt"
+    write_wigner_csv(csv, matrix, x, p, f)
+    assert csv.read_bytes() == oracle.wigner_csv_text(x, p, f).encode()
+    assert matrix.read_bytes() == oracle.matrix_txt_text(f).encode()
+
+
+def test_wigner_writer_memory_stays_one_row_wide(tmp_path):
+    # one row at a time peaks near 0.1 MB on a 256^2 f; a .tolist() of the
+    # whole matrix peaks near 2.2 MB and lifts the process's peak RSS
+    x = Grid1D(-8.0, 8.0, 256).points
+    f = np.random.default_rng(0).standard_normal((256, 256))
+    tracemalloc.start()
+    try:
+        write_wigner_csv(tmp_path / "wigner.csv", tmp_path / "wigner_matrix.txt", x, x, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_marginal_csv_bytes(tmp_path):
