@@ -28,6 +28,7 @@ from .states import (
     DEFAULT_GRID,
     DirectionAB,
     WaveFunction,
+    fock_coefficients,
     gaussian_state,
     hermite_functions,
     oscillator_eigenstate,
@@ -50,7 +51,6 @@ from .verify import run_verify
 from .weyl import (
     PhaseSpaceFunction,
     displacement,
-    fock_coefficients,
     moyal_expectation_check,
     oscillator_matrices,
     symbol,

@@ -85,6 +85,20 @@ def oscillator_eigenstate(n: int, hbar: float = 1.0) -> WaveFunction:
     return WaveFunction(evaluate, hbar, f"hermite:{n}")
 
 
+def fock_coefficients(psi: WaveFunction, N: int, grid: Grid1D = DEFAULT_GRID) -> np.ndarray:
+    """Oscillator-basis coefficients c_n = <n|psi>, n < N, by the trapezoid rule on grid.
+
+    psi is evaluated once, at the grid's points.  The grid must hold the
+    state and resolve h_{N-1}(x/sqrt(hbar)) times psi; a grid that does not
+    shows in the coefficients' norm sum |c_n|^2, which then misses 1.
+    """
+    s = np.sqrt(psi.hbar)
+    H = hermite_functions(N - 1, grid.points / s) / np.sqrt(s)
+    w = np.full(grid.n, grid.spacing)
+    w[0] = w[-1] = grid.spacing / 2.0
+    return H @ (psi(grid.points) * w)
+
+
 def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sampled") -> WaveFunction:
     """State from grid samples; evaluates anywhere by Whittaker interpolation,
     the weights coming from numerics.sinc_weights.

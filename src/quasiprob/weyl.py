@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import Grid2D, PreconditionError, quadrature_2d, square_grid
-from .states import DEFAULT_GRID, WaveFunction, hermite_functions
+from .states import DEFAULT_GRID, WaveFunction, fock_coefficients
 from .wigner import wigner_transform
 
 #: Damping rate for polynomial symbols; see the module docstring.
@@ -191,16 +191,6 @@ def interior_block(M: np.ndarray) -> np.ndarray:
     return M[:h, :h]
 
 
-def fock_coefficients(psi: WaveFunction, N: int) -> np.ndarray:
-    """Oscillator-basis coefficients c_n = <n|psi>, n < N, by quadrature on DEFAULT_GRID."""
-    g = DEFAULT_GRID
-    s = np.sqrt(psi.hbar)
-    H = hermite_functions(N - 1, g.points / s) / np.sqrt(s)
-    w = np.full(g.n, g.spacing)
-    w[0] = w[-1] = g.spacing / 2.0
-    return H @ (psi(g.points) * w)
-
-
 def moyal_expectation_check(
     g: PhaseSpaceFunction, psi: WaveFunction, G: np.ndarray
 ) -> tuple[float, float, float]:
@@ -214,7 +204,7 @@ def moyal_expectation_check(
     MOYAL_GRID.
     """
     N = G.shape[0]
-    c = fock_coefficients(psi, N)
+    c = fock_coefficients(psi, N, DEFAULT_GRID)
     tail = 1.0 - float(np.sum(np.abs(c) ** 2))
     if tail > 1e-10:
         raise PreconditionError(

@@ -315,6 +315,42 @@ def test_tiny_hbar_fails_on_the_norm_witness(tmp_path, capsys, argv):
     assert not any(out.iterdir())
 
 
+def test_marginal_past_the_fock_cap_exits_1(tmp_path, capsys):
+    # a width-0.1 squeeze needs oscillator coefficients beyond n = 2048
+    out = tmp_path / "out"
+    assert main(["marginal", "--state", "gaussian:0,0,0.1", "--theta", "0.7", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("spec", ["gaussian:0.5,-0.3,0.2", "gaussian:0.5,-0.3,2.5", "gaussian:0,0,4"])
+def test_marginal_of_narrow_and_wide_states(tmp_path, capsys, spec):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(["marginal", "--state", spec, "--theta", "0.7", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert rep["integral"] == pytest.approx(1.0, abs=1e-6)
+    if spec == "gaussian:0,0,4":
+        assert not caught
+        assert capsys.readouterr().err == ""
+
+
+def test_file_state_tomography_matches_closed_form(tmp_path, capsys):
+    g = Grid1D(-16.0, 16.0, 256)
+    path = tmp_path / "coh.csv"
+    write_sampled_csv(path, SampledFunction1D(g, gaussian_state(1.0, -1.5, 1.0)(g.points)))
+    args = ["tomo", "--ndirs", "8"]
+    code, sampled = run(args + ["--state", f"file:{path}", "--out", str(tmp_path / "f")], capsys)
+    assert code == 0
+    code, closed = run(args + ["--state", "gaussian:1,-1.5,1", "--out", str(tmp_path / "g")], capsys)
+    assert code == 0
+    for key in ("l2_error", "worst_residual"):
+        assert abs(sampled[key] - closed[key]) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "argv",
     [

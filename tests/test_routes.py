@@ -9,6 +9,7 @@ so a test can ask which functions one route reached below it.
 import inspect
 import sys
 
+import numpy as np
 import pytest
 
 import quasiprob.cli  # noqa: F401  (loads every layer)
@@ -98,6 +99,27 @@ def test_quantum_marginal_reaches_no_distribution(trace, states, kind):
     seen = reached(trace.children)
     assert EVALUATE in seen
     assert not seen & {"wigner.wigner_transform", "tomography.marginal_of_quasi", "tomography.fhat_on_ray"}
+
+
+@pytest.mark.parametrize("zn", [48, 512, 4096])
+def test_quantum_marginal_work_does_not_grow_with_the_z_grid(trace, monkeypatch, states, zn):
+    # the route reads psi once per call, on the fixed coefficient grid, and
+    # never through the characteristic function
+    points = []
+    evaluate = WaveFunction.__call__
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(WaveFunction, "__call__", counted)
+    zgrid = Grid1D(-16.0, 16.0, zn)
+    for d in DIRECTIONS:
+        points.clear()
+        tomography.quantum_marginal(states["file"], d, zgrid)
+        assert 0 < sum(points) <= 4096
+    tomography.quantum_marginal(states["closed"], DIRECTIONS[0], zgrid)
+    assert "wigner.characteristic_function" not in reached(trace.children)
 
 
 def test_j2m_sides_share_only_ft_core(trace):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 from quasiprob.numerics import Grid1D, PreconditionError, square_grid
-from quasiprob.states import DirectionAB, gaussian_state
+from quasiprob.states import DirectionAB, gaussian_state, oscillator_eigenstate
 from quasiprob.tomography import (
     direction_residuals,
     fan,
@@ -53,6 +53,70 @@ def test_scaled_direction_rescales_variable(ground):
     zg = Grid1D(-12.0, 12.0, 192)
     m = quantum_marginal(ground, DirectionAB(2.0, 0.0), zg)
     assert np.max(np.abs(m.values - oracle.ground_marginal_d20(zg.points))) < 1e-10
+
+
+def gaussian_marginal(x0, p0, sigma, hbar, a, b, z):
+    """Density of a X + b P for gaussian_state(x0, p0, sigma, hbar): a normal
+    law of mean a x0 + b p0 and variance a^2 sigma^2/2 + b^2 hbar^2/(2 sigma^2)."""
+    mean = a * x0 + b * p0
+    var = a**2 * sigma**2 / 2 + b**2 * hbar**2 / (2 * sigma**2)
+    return np.exp(-((z - mean) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
+
+
+WIDE_ZGRID = Grid1D(-12.0, 12.0, 192)
+
+
+@pytest.mark.parametrize("hbar", [0.5, 2.0])
+@pytest.mark.parametrize("ab", [(0.6, 0.8), (-0.3, 0.5), (1.2, -0.9)])
+def test_quantum_marginal_gaussian_at_hbar(hbar, ab):
+    psi = gaussian_state(0.5, -0.3, 1.0, hbar)
+    m = quantum_marginal(psi, DirectionAB(*ab), WIDE_ZGRID)
+    ref = gaussian_marginal(0.5, -0.3, 1.0, hbar, *ab, WIDE_ZGRID.points)
+    assert np.max(np.abs(m.values - ref)) <= 1e-13
+
+
+# each width along (-0.3, 0.5) and along a direction in which its marginal
+# is narrow, so the z-window holds the whole law
+@pytest.mark.parametrize(
+    "sigma, ab",
+    [(s, (-0.3, 0.5)) for s in (0.2, 0.3, 2.5, 3.0, 4.0)]
+    + [(s, (0.96, -0.28)) for s in (0.2, 0.3)]
+    + [(s, (0.28, 0.96)) for s in (2.5, 3.0, 4.0)],
+)
+def test_quantum_marginal_gaussian_far_from_unit_width(sigma, ab):
+    psi = gaussian_state(0.5, -0.3, sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        m = quantum_marginal(psi, DirectionAB(*ab), WIDE_ZGRID)
+    ref = gaussian_marginal(0.5, -0.3, sigma, 1.0, *ab, WIDE_ZGRID.points)
+    assert np.max(np.abs(m.values - ref)) <= 1e-13
+
+
+def test_quantum_marginal_far_displaced_state():
+    # |alpha|^2 = 242: the coefficients below n = 64 carry almost none of the
+    # norm, so their top quarter is negligible long before the basis holds the state
+    zg = Grid1D(0.0, 48.0, 384)
+    m = quantum_marginal(gaussian_state(22.0, 0.0, 1.0), DirectionAB(0.96, 0.28), zg)
+    ref = gaussian_marginal(22.0, 0.0, 1.0, 1.0, 0.96, 0.28, zg.points)
+    assert np.max(np.abs(m.values - ref)) <= 1e-13
+
+
+def test_quantum_marginal_eigenstate_at_half_hbar():
+    # an eigenstate is rotation invariant up to phase: along (a, b) of norm r
+    # its marginal is |h_7(z/(r sqrt(hbar)))|^2/(r sqrt(hbar))
+    d = DirectionAB(-0.3, 0.5)
+    m = quantum_marginal(oscillator_eigenstate(7, 0.5), d, WIDE_ZGRID)
+    scale = d.norm * np.sqrt(0.5)
+    u = WIDE_ZGRID.points / scale
+    h7 = np.polynomial.hermite.hermval(u, [0] * 7 + [1]) * np.exp(-(u**2) / 2) / np.sqrt(2**7 * 5040 * np.sqrt(np.pi))
+    ref = h7**2 / scale
+    assert np.max(np.abs(m.values - ref)) <= 1e-13
+
+
+def test_quantum_marginal_fails_closed_past_the_fock_cap():
+    # a width-0.1 squeeze needs coefficients beyond n = 2048
+    with pytest.raises(PreconditionError, match="not decayed"):
+        quantum_marginal(gaussian_state(0.0, 0.0, 0.1), DirectionAB(0.6, 0.8), WIDE_ZGRID)
 
 
 def test_marginal_of_quasi_matches_quantum(excited, mid_grid):
