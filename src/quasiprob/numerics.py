@@ -131,18 +131,6 @@ def ft_core(values: np.ndarray, src: Grid1D, dst: Grid1D, sign: int, axis: int =
     return (src.spacing / SQRT2PI) * post * core
 
 
-def fourier_forward_1d(f: SampledFunction1D) -> SampledFunction1D:
-    """fhat on the dual grid; input must satisfy the boundary-decay contract."""
-    warn_boundary(f.values, "fourier_forward_1d input")
-    dual = f.grid.dual()
-    return SampledFunction1D(dual, ft_core(f.values, f.grid, dual, -1))
-
-
-def fourier_inverse_1d(g: SampledFunction1D, grid: Grid1D) -> SampledFunction1D:
-    """Inverse transform back onto `grid`, a dual of g's grid."""
-    return SampledFunction1D(grid, ft_core(g.values, g.grid, grid, +1))
-
-
 def sinc_weights(u, n: int) -> np.ndarray:
     """sinc(u - m) for m = 0..n-1, shape u.shape + (n,); u in sample units.
 

@@ -19,6 +19,9 @@ so a single eigendecomposition X = V diag(lam) V^T serves every node:
 e^{i(aX+bP)} = U_phi V e^{i r lam} V^T U_phi^dag.  Summed over the nodes this
 is the displacement-sum identity G_jk = sum_l V_jl V_kl M[j-k, l], where
 M[d, l] = sum_nodes w e^{i d phi} e^{i r lam_l} is a single matrix product.
+The rows d < 0 of e^{i d phi} are the conjugates of the rows d > 0 and the
+row d = 0 is 1, so a node costs 2N-1 complex exponentials: N-1 for
+e^{i d phi}, d = 1 .. N-1, and N for e^{i r lam}.
 """
 
 from __future__ import annotations
@@ -156,6 +159,8 @@ def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarra
     w e^{i(j-k) phi} sum_l V_jl V_kl e^{i r lam_l} to entry (j, k), so
     G_jk = sum_l V_jl V_kl M[j-k, l] with M = (e^{i d phi} w) @ e^{i r lam},
     one (2N-1) x nodes by nodes x N product accumulated CHUNK nodes at a time.
+    Each chunk exponentiates only the rows d = 1 .. N-1 of the left factor
+    and fills d < 0 by conjugation, 2N-1 exponentials per node in all.
     Results are bit-reproducible for a fixed BLAS build and thread count.
     """
     dual = g.quad_grid.dual()
@@ -177,11 +182,18 @@ def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarra
 
     Xm, _ = oscillator_matrices(N, hbar)
     lam, V = np.linalg.eigh(Xm.real)
-    d = np.arange(1 - N, N)
+    d = np.arange(1, N)
     M = np.zeros((2 * N - 1, N), dtype=complex)
+    left = np.empty((2 * N - 1, CHUNK), dtype=complex)
     for i0 in range(0, r.size, CHUNK):
         c = slice(i0, i0 + CHUNK)
-        M += (np.exp(1j * np.outer(d, phi[c])) * w[c]) @ np.exp(1j * np.outer(r[c], lam))
+        L = left[:, : phi[c].size]
+        np.exp(1j * np.outer(d, phi[c]), out=L[N:])  # rows d = 1 .. N-1
+        np.conjugate(L[: N - 1 : -1], out=L[: N - 1])  # rows d = 1-N .. -1
+        L[N - 1] = 1.0  # row d = 0
+        L *= w[c]
+        M += L @ np.exp(1j * np.outer(r[c], lam))
+    L = left = None  # release the buffer before the N^3 gather below sets the peak
     k = np.arange(N)
     return np.einsum("jl,kl,jkl->jk", V, V, M[k[:, None] - k + N - 1])
 

@@ -5,6 +5,7 @@ import _oracles as oracle
 from quasiprob.numerics import PreconditionError, square_grid
 from quasiprob.states import gaussian_state, oscillator_eigenstate
 from quasiprob.weyl import (
+    CHUNK,
     PRUNE,
     PhaseSpaceFunction,
     displacement,
@@ -90,6 +91,58 @@ def test_quantize_matches_direct_displacement_sum(hbar):
     )
     assert np.max(np.abs(weyl_quantize(g, n, hbar=hbar) - ref)) < 1e-13
 
+
+SYMBOLS = ("x", "p", "x2", "p2", "xp", "x2p2", "gauss")
+
+
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [2, 20, 33])
+@pytest.mark.parametrize("name", SYMBOLS)
+def test_quantize_is_bitwise_the_dense_formula(name, n, hbar):
+    # the conjugated d < 0 rows of the left factor change no bit of the
+    # result; n = 2 has a single row d = 1, and 33 is odd
+    g = symbol(name)
+    a = weyl_quantize(g, n, hbar)
+    b = oracle.weyl_quantize_dense(g, n, hbar, PRUNE, CHUNK)
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_quantize_exponential_count(monkeypatch):
+    # per node: N-1 exponentials for e^{i d phi}, d = 1 .. N-1, and N for
+    # e^{i r lam}; the rows d <= 0 are never exponentiated
+    g = symbol("gauss")
+    dual = g.quad_grid.dual()
+    gh = g.transform(*dual.meshgrid())
+    nodes = int(np.count_nonzero(np.abs(gh) > PRUNE * np.abs(gh).max()))
+    assert nodes == 25289
+    exp = np.exp
+    count = 0
+
+    def counting_exp(x, *args, **kwargs):
+        nonlocal count
+        if np.iscomplexobj(x):
+            count += np.size(x)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    n = 20
+    weyl_quantize(g, n)
+    assert count == (2 * n - 1) * nodes == 986_271
+
+
+
+def test_quantize_zero_symbol_is_zero_matrix():
+    # every node is pruned, so the chunk loop never runs
+    g = PhaseSpaceFunction("zero", lambda x, p: 0.0 * x, lambda a, b: 0.0 * a, square_grid(-8.0, 8.0, 64))
+    assert not weyl_quantize(g, 5).any()
+
+@pytest.mark.parametrize("hbar", [0.5, 2.0])
+def test_quantize_gauss_closed_form_at_hbar(hbar):
+    # e^{-x^2-p^2} maps to (1/(1+hbar)) sum_n ((1-hbar)/(1+hbar))^n |n><n|;
+    # a power of hbar wrong in oscillator_matrices misses it by > 0.1
+    M = weyl_quantize(symbol("gauss"), 64, hbar)
+    ref = np.diag(oracle.gauss_weyl_diagonal(hbar, 8))
+    assert np.max(np.abs(M[:8, :8] - ref)) < 1e-10
 
 def test_trace_identity():
     # Tr W[g] = (1/2 pi hbar) integral g; the partial trace over the
