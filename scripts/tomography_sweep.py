@@ -47,7 +47,7 @@ def main():
     for ndirs in counts:
         row = f"{ndirs:5d} "
         for s in states:
-            margs = [quantum_marginal(s, d, zgrid) for d in fan(ndirs)]
+            margs = quantum_marginal(s, fan(ndirs), zgrid)
             # sweeps below 8 directions trip the coverage-gap warning by
             # construction; the table shows the cost
             with warnings.catch_warnings():

@@ -103,11 +103,7 @@ SUB_OPTS: dict[str, list[tuple[str, Callable, Any]]] = {
         ("t", str, "feynman"),
     ],
     "negativity": [
-        ("values", str, None),
-        ("state", str, None),
-        ("xmin", float, -8.0),
-        ("xmax", float, 8.0),
-        ("n", int, 128),
+        ("values", str, REQUIRED),
     ],
     "verify": [],
 }
@@ -143,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tamper": "modify a distribution without touching the x/p marginals, then catch it",
         "weyl-check": "compare <g(X,P)> against the phase-space average of g",
         "spin": "Feynman's spin-1/2 quasi-probabilities for a two-amplitude state",
-        "negativity": "total negative mass of a distribution or outcome list",
+        "negativity": "total negative mass of an outcome list",
         "verify": "run the full invariant suite (exit 0 only if every check passes)",
     }
     for name, opts in SUB_OPTS.items():
@@ -278,18 +274,6 @@ def _require_unit(what: str, value: float) -> None:
         raise PreconditionError(f"{what} is {value!r}, not 1 within 1e-6")
 
 
-def _unit_marginals(psi, dirs, zgrid: Grid1D) -> list:
-    """quantum_marginal along each direction; a norm off 1 is the one line of
-    the exit, otherwise the marginals' warnings are replayed."""
-    with warnings.catch_warnings(record=True) as caught:
-        margs = [quantum_marginal(psi, d, zgrid) for d in dirs]
-    for m in margs:
-        _require_unit("marginal integral", m.integral())
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    return margs
-
-
 def cmd_charfn(o: dict) -> dict:
     psi = parse_state(o["state"], o["hbar"])
     g = _grid1("alpha", o["amin"], o["amax"], o["n"])
@@ -318,7 +302,8 @@ def cmd_marginal(o: dict) -> dict:
     th = o["theta"]
     dvec = DirectionAB(float(np.cos(th)), float(np.sin(th)))
     zgrid = _grid1("z", o["zmin"], o["zmax"], o["zn"])
-    (m,) = _unit_marginals(psi, [dvec], zgrid)
+    (m,) = quantum_marginal(psi, [dvec], zgrid)
+    _require_unit("marginal integral", m.integral())
     write_csv(Path(o["out"]) / "marginal.csv", ("z", "g"), zgrid.points, m.values)
     report = {
         "kind": "marginal-meta",
@@ -339,14 +324,17 @@ def cmd_tomo(o: dict) -> dict:
         raise PreconditionError(f"tomo needs at least 2 directions, got {ndirs}")
     grid = square_grid(-8.0, 8.0, 128)
     zgrid = Grid1D(-32.0, 32.0, 512)
-    margs = _unit_marginals(psi, fan(ndirs), zgrid)
+    margs = quantum_marginal(psi, fan(ndirs), zgrid)
+    for m in margs:
+        _require_unit("marginal integral", m.integral())
     rec = reconstruct_from_marginals(margs, grid)
     ref = wigner_transform(psi, grid)
     l2 = float(np.sqrt(np.sum((rec.values - ref.values) ** 2) * grid.gx.spacing * grid.gp.spacing))
     probes = [k * np.pi / min(ndirs, 16) for k in range(min(ndirs, 16))]
     with warnings.catch_warnings():
         # probing the reconstruction: its marginals carry the (reported)
-        # reconstruction error, so the unit-norm warning is redundant here
+        # reconstruction error, so marginal_of_quasi's unit-norm warning on
+        # them is redundant here
         warnings.simplefilter("ignore", UserWarning)
         worst_theta, worst_residual = find_violated_direction(rec, psi, probes)
     report = {
@@ -433,30 +421,15 @@ def cmd_spin(o: dict) -> dict:
 
 
 def cmd_negativity(o: dict) -> dict:
-    if (o["values"] is None) == (o["state"] is None):
-        raise UsageError("negativity: pass exactly one of --values or --state")
-    if o["values"] is not None:
-        vals = _finite_numbers(o["values"].split(","), float, f"--values {o['values']!r}")
-        if not vals:
-            raise PreconditionError("--values: empty list")
-        report = {
-            "kind": "negativity-report",
-            "source": "discrete",
-            "negative_volume": negative_volume(vals),
-            "values": vals,
-        }
-    else:
-        psi = parse_state(o["state"], o["hbar"])
-        grid = Grid2D(_grid1("x", o["xmin"], o["xmax"], o["n"]), _grid1("p", o["xmin"], o["xmax"], o["n"]))
-        f = wigner_transform(psi, grid)
-        report = {
-            "kind": "negativity-report",
-            "source": "wigner",
-            "negative_volume": negative_volume(f),
-            "state": o["state"],
-            "hbar": o["hbar"],
-        }
-    return report
+    vals = _finite_numbers(o["values"].split(","), float, f"--values {o['values']!r}")
+    if not vals:
+        raise PreconditionError("--values: empty list")
+    return {
+        "kind": "negativity-report",
+        "source": "discrete",
+        "negative_volume": negative_volume(vals),
+        "values": vals,
+    }
 
 
 def cmd_verify(o: dict) -> dict:

@@ -45,6 +45,9 @@ def gaussian_state(x0: float, p0: float, sigma: float, hbar: float = 1.0) -> Wav
     """psi(x) = (pi sigma^2)^{-1/4} exp(-(x-x0)^2/(2 sigma^2) + i p0 x / hbar)."""
     if sigma <= 0:
         raise PreconditionError(f"sigma must be positive, got {sigma}")
+    # a float product cannot raise or warn; sigma**2 and the norm below can
+    if not 0.0 < float(sigma) * float(sigma) < np.inf:
+        raise PreconditionError(f"sigma^2 must be a positive finite double, got sigma = {sigma}")
     norm = (np.pi * sigma**2) ** -0.25
 
     def evaluate(x):

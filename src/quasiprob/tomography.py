@@ -48,12 +48,6 @@ class Marginal:
         return float(np.trapezoid(self.values, dx=self.grid.spacing))
 
 
-def _check_marginal_norm(values: np.ndarray, dz: float, what: str) -> None:
-    total = float(np.trapezoid(values, dx=dz))
-    if abs(total - 1.0) > 1e-6:
-        warnings.warn(f"{what}: marginal integrates to {total:.8f}, not 1", stacklevel=3)
-
-
 def marginal_of_quasi(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D) -> Marginal:
     """Line-integral marginal of f along z = a x + b p.
 
@@ -87,12 +81,16 @@ def marginal_of_quasi(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D) -> Ma
             f"(edge/max = {max(abs(vals[0]), abs(vals[-1])) / peak:.2e})",
             stacklevel=2,
         )
-    _check_marginal_norm(vals, zgrid.spacing, "marginal_of_quasi")
-    return Marginal(d, zgrid, vals)
+    m = Marginal(d, zgrid, vals)
+    total = m.integral()
+    if abs(total - 1.0) > 1e-6:
+        warnings.warn(f"marginal_of_quasi: marginal integrates to {total:.8f}, not 1", stacklevel=2)
+    return m
 
 
-def quantum_marginal(psi: WaveFunction, d: DirectionAB, zgrid: Grid1D) -> Marginal:
-    """Measurement distribution of a X + b P predicted by the state itself.
+def quantum_marginal(psi: WaveFunction, dirs: Sequence[DirectionAB], zgrid: Grid1D) -> list[Marginal]:
+    """Measurement distributions of a X + b P predicted by the state itself,
+    one per direction of dirs, in order.
 
     With r = |(a, b)|, theta = atan2(b, a) and s = sqrt(hbar), a X + b P is
     r times the rotated quadrature of the oscillator basis, so
@@ -103,7 +101,9 @@ def quantum_marginal(psi: WaveFunction, d: DirectionAB, zgrid: Grid1D) -> Margin
     Phys. Rev. 177, 1882 (1969)).  N doubles from 64 until the top quarter of
     |c_n| is at most 1e-15 and sum |c_n|^2 is 1 within 1e-6 (a state displaced
     far from the origin has a negligible top quarter long before its norm is
-    in); a state that needs more than FOCK_CAP fails closed.
+    in); a state that needs more than FOCK_CAP fails closed.  The search runs
+    once per call and the h_n table once per distinct r, so a fan shares one.
+    The norm of each marginal is left to the caller, as Marginal.integral().
     """
     N = 64
     while True:
@@ -116,11 +116,15 @@ def quantum_marginal(psi: WaveFunction, d: DirectionAB, zgrid: Grid1D) -> Margin
                 raise PreconditionError(f"the state's oscillator norm over n < {N} is {norm!r}, not 1 within 1e-6")
             raise PreconditionError(f"the state's oscillator coefficients have not decayed to 1e-15 by n = {N}")
         N *= 2
-    scale = d.norm * np.sqrt(psi.hbar)
-    amp = (c * np.exp(-1j * np.arange(N) * np.arctan2(d.b, d.a))) @ hermite_functions(N - 1, zgrid.points / scale)
-    g = np.abs(amp) ** 2 / scale
-    _check_marginal_norm(g, zgrid.spacing, "quantum_marginal")
-    return Marginal(d, zgrid, g)
+    tables: dict[float, np.ndarray] = {}
+    out = []
+    for d in dirs:
+        scale = d.norm * np.sqrt(psi.hbar)
+        if scale not in tables:
+            tables[scale] = hermite_functions(N - 1, zgrid.points / scale)
+        amp = (c * np.exp(-1j * np.arange(N) * np.arctan2(d.b, d.a))) @ tables[scale]
+        out.append(Marginal(d, zgrid, np.abs(amp) ** 2 / scale))
+    return out
 
 
 def fhat_on_ray(f: QuasiDistribution, d: DirectionAB, zeta: np.ndarray) -> np.ndarray:
@@ -264,12 +268,10 @@ def direction_residuals(f: QuasiDistribution, psi: WaveFunction, thetas: Sequenc
     both on the coarser phase-space axis of f's grid."""
     gx, gp = f.grid.gx, f.grid.gp
     zgrid = gx if gx.spacing >= gp.spacing else gp
-    out = np.empty(len(thetas))
-    for i, t in enumerate(thetas):
-        d = DirectionAB(float(np.cos(t)), float(np.sin(t)))
-        m = marginal_of_quasi(f, d, zgrid)
-        q = quantum_marginal(psi, d, zgrid)
-        out[i] = np.abs(m.values - q.values).max()
+    dirs = [DirectionAB(float(np.cos(t)), float(np.sin(t))) for t in thetas]
+    out = np.empty(len(dirs))
+    for i, q in enumerate(quantum_marginal(psi, dirs, zgrid)):
+        out[i] = np.abs(marginal_of_quasi(f, q.direction, zgrid).values - q.values).max()
     return out
 
 

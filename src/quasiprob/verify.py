@@ -155,7 +155,7 @@ def run_verify() -> dict:
     # reconstruction from 64 directions
     zrec = Grid1D(-32.0, 32.0, 512)
     for name, psi, f_ref, tol in (("ground", psi0, w0, 1e-3), ("excited", psi1, w1, 1e-2)):
-        margs = [quantum_marginal(psi, d, zrec) for d in fan(64)]
+        margs = quantum_marginal(psi, fan(64), zrec)
         rec = reconstruct_from_marginals(margs, mid)
         l2 = float(np.sqrt(np.sum((rec.values - f_ref.values) ** 2) * mid.gx.spacing * mid.gp.spacing))
         s.le(f"reconstruction-{name}-l2", l2, tol)

@@ -145,7 +145,7 @@ def test_criterion_05_marginals_along_32_directions(ground, excited, coherent23,
         d = DirectionAB(float(np.cos(th)), float(np.sin(th)))
         for psi, f, grid in cases:
             mq = marginal_of_quasi(f, d, grid)
-            mm = quantum_marginal(psi, d, grid)
+            (mm,) = quantum_marginal(psi, [d], grid)
             dev = float(np.max(np.abs(mq.values - mm.values)))
             worst = max(worst, dev)
             assert dev < 1e-6, f"{psi.label} at theta={th:.3f}: dev {dev:.3e} >= 1e-6"
@@ -158,7 +158,7 @@ def test_criterion_06_reconstruction_and_counterexamples(ground, excited, mid_gr
     cell = mid_grid.gx.spacing * mid_grid.gp.spacing
     l2 = {}
     for psi, label in ((ground, "ground"), (excited, "excited")):
-        margs = [quantum_marginal(psi, d, zg) for d in dirs]
+        margs = quantum_marginal(psi, dirs, zg)
         rec = reconstruct_from_marginals(margs, mid_grid)
         ref = wigner_transform(psi, mid_grid)
         l2[label] = float(np.sqrt(np.sum((rec.values - ref.values) ** 2) * cell))
@@ -175,7 +175,7 @@ def test_criterion_06_reconstruction_and_counterexamples(ground, excited, mid_gr
     ):
         for ab in ((1.0, 0.0), (0.0, 1.0)):
             d = DirectionAB(*ab)
-            m0 = quantum_marginal(ground, d, zfine)
+            (m0,) = quantum_marginal(ground, [d], zfine)
             m1 = marginal_of_quasi(mod, d, zfine)
             axis_dev = float(np.max(np.abs(m1.values - m0.values)))
             assert axis_dev < 1e-9, f"{label} axis {ab}: dev {axis_dev:.3e} >= 1e-9"

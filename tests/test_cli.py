@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import quasiprob
-from quasiprob import cli
+from quasiprob import cli, tomography
 from quasiprob.cli import main
 from quasiprob.serial import load_schema, write_sampled_csv
 from quasiprob.numerics import Grid1D, SampledFunction1D
@@ -80,13 +80,14 @@ def test_negativity_discrete_exact(tmp_path, capsys):
 
 
 def test_negativity_from_state(tmp_path, capsys):
+    # a state's negativity is the one wigner reports
     code, rep = run(
-        ["negativity", "--state", "hermite:1", "--xmin", "-6", "--xmax", "6", "--n", "128",
+        ["wigner", "--state", "hermite:1", "--xmin", "-6", "--xmax", "6", "--n", "128",
          "--out", str(tmp_path)],
         capsys,
     )
     assert code == 0
-    assert rep["negative_volume"] == pytest.approx(2 * np.exp(-0.5) - 1, abs=1e-3)
+    assert rep["negativity"] == pytest.approx(2 * np.exp(-0.5) - 1, abs=1e-3)
 
 
 def test_marginal_subcommand(tmp_path, capsys):
@@ -276,7 +277,6 @@ def test_malformed_state_file_exits_1(tmp_path, capsys, rows, sidecar):
         ["weyl-check", "--g", "gauss", "--dim", "20", "--hbar", "0"],
         ["weyl-check", "--g", "gauss", "--dim", "20", "--hbar", "-1"],
         ["wigner", "--hbar", "0"],
-        ["negativity", "--hbar", "-1"],
         ["tomo", "--ndirs", "4", "--hbar", "0"],
     ],
 )
@@ -377,6 +377,40 @@ def test_huge_hbar_exits_1_with_one_line(tmp_path, capsys, argv):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-170", "1e200", "1e300"])
+@pytest.mark.parametrize("argv", [["wigner"], ["charfn"], ["marginal", "--theta", "0.3"]])
+def test_extreme_gaussian_width_exits_1_with_one_line(tmp_path, capsys, argv, sigma):
+    # sigma^2 underflows to 0 or overflows to inf, where (pi sigma^2)^(-1/4)
+    # would raise ZeroDivisionError or OverflowError
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--state", f"gaussian:0,0,{sigma}", "--out", str(out)]) == 1
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: sigma^2 must be a positive finite double")
+    assert not any(out.iterdir())
+
+
+def test_tomo_searches_the_state_coefficients_once_per_direction_set(tmp_path, capsys, monkeypatch):
+    # one search for the fan, one for the probes of the reconstruction
+    calls = []
+    search = tomography.fock_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(tomography, "fock_coefficients", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the coverage gap of 4 directions
+        code, _ = run(["tomo", "--state", "hermite:2", "--ndirs", "4", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests as a reference
     src = str(Path(quasiprob.__file__).parents[1])
@@ -389,9 +423,10 @@ def test_cli_import_loads_no_scipy():
 
 def test_negativity_requires_exactly_one_source(capsys, tmp_path):
     assert main(["negativity", "--out", str(tmp_path)]) == 2
-    assert main(
-        ["negativity", "--values", "1", "--state", "hermite:0", "--out", str(tmp_path)]
-    ) == 2
+    # --values is the one source; argparse rejects --state as an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["negativity", "--values", "1", "--state", "hermite:0", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_malformed_state_spec_is_precondition_error(capsys, tmp_path):

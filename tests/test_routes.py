@@ -95,7 +95,7 @@ def test_marginal_of_quasi_never_evaluates_the_state(trace):
 @pytest.mark.parametrize("kind", ["closed", "file"])
 def test_quantum_marginal_reaches_no_distribution(trace, states, kind):
     for d in DIRECTIONS:
-        tomography.quantum_marginal(states[kind], d, GRID.gx)
+        tomography.quantum_marginal(states[kind], [d], GRID.gx)
     seen = reached(trace.children)
     assert EVALUATE in seen
     assert not seen & {"wigner.wigner_transform", "tomography.marginal_of_quasi", "tomography.fhat_on_ray"}
@@ -116,9 +116,12 @@ def test_quantum_marginal_work_does_not_grow_with_the_z_grid(trace, monkeypatch,
     zgrid = Grid1D(-16.0, 16.0, zn)
     for d in DIRECTIONS:
         points.clear()
-        tomography.quantum_marginal(states["file"], d, zgrid)
+        tomography.quantum_marginal(states["file"], [d], zgrid)
         assert 0 < sum(points) <= 4096
-    tomography.quantum_marginal(states["closed"], DIRECTIONS[0], zgrid)
+    points.clear()
+    tomography.quantum_marginal(states["file"], DIRECTIONS, zgrid)
+    assert 0 < sum(points) <= 4096
+    tomography.quantum_marginal(states["closed"], [DIRECTIONS[0]], zgrid)
     assert "wigner.characteristic_function" not in reached(trace.children)
 
 
