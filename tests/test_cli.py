@@ -278,6 +278,7 @@ def test_malformed_state_file_exits_1(tmp_path, capsys, rows, sidecar):
         ["weyl-check", "--g", "gauss", "--dim", "20", "--hbar", "-1"],
         ["wigner", "--hbar", "0"],
         ["tomo", "--ndirs", "4", "--hbar", "0"],
+        ["tomo", "--ndirs", "4", "--hbar", "-1"],
     ],
 )
 def test_file_state_nonpositive_hbar_exits_1(tmp_path, capsys, argv):
