@@ -359,20 +359,20 @@ def cmd_tamper(o: dict) -> dict:
         mod = smooth_modification(f, o["a"], o["b"], o["c"])
     else:
         raise PreconditionError(f"tamper kind must be rect or smooth, got {o['kind']!r}")
-    axis_res = direction_residuals(mod, psi, [0.0, np.pi / 2])
     probes = [k * np.pi / 8 for k in range(1, 8) if k != 4]
-    worst_theta, worst_residual = find_violated_direction(mod, psi, probes)
+    res = direction_residuals(mod, psi, [0.0, np.pi / 2] + probes)  # one coefficient search for all 8
+    k = 2 + int(np.argmax(res[2:]))
     report = {
         "kind": "tamper-report",
         "state": o["state"],
         "hbar": o["hbar"],
         "modification": o["kind"],
         "c": o["c"],
-        "axis_residual_x": float(axis_res[0]),
-        "axis_residual_p": float(axis_res[1]),
-        "worst_theta": worst_theta,
-        "worst_residual": worst_residual,
-        "flagged": worst_residual > o["tol"],
+        "axis_residual_x": float(res[0]),
+        "axis_residual_p": float(res[1]),
+        "worst_theta": probes[k - 2],
+        "worst_residual": float(res[k]),
+        "flagged": float(res[k]) > o["tol"],
     }
     return report
 

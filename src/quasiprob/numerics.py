@@ -1,5 +1,5 @@
-"""Uniform grids, unitary Fourier transforms, band-limited interpolation
-weights, and 2-D quadrature.
+"""Uniform grids, unitary Fourier transforms, band-limited (Whittaker)
+interpolation, and 2-D quadrature.
 
 Transform convention (angular frequency, symmetric normalization):
 
@@ -25,6 +25,9 @@ SQRT2PI = np.sqrt(2.0 * np.pi)
 
 # |f| at the grid edge above this fraction of max|f| breaks the decay contract
 BOUNDARY_DECAY = 1e-12
+
+#: Points per sinc_sum call in its callers, so the kernel's working set stays in L2.
+SINC_BLOCK = 16384
 
 
 class PreconditionError(ValueError):
@@ -131,29 +134,33 @@ def ft_core(values: np.ndarray, src: Grid1D, dst: Grid1D, sign: int, axis: int =
     return (src.spacing / SQRT2PI) * post * core
 
 
-def sinc_weights(u, n: int) -> np.ndarray:
-    """sinc(u - m) for m = 0..n-1, shape u.shape + (n,); u in sample units.
+def sinc_sum(u, samples) -> np.ndarray:
+    """sum_m samples[m] sinc(u - m), m < len(samples), of real samples; u in sample units.
 
-    The Whittaker (band-limited) interpolation weights of n samples.  With
-    k = rint(u) and r = u - k, sin(pi (u - m)) = (-1)^(k-m) sin(pi r): one
-    sine per point, of the reduced r so it stays exact far from the origin,
-    and one division per (point, sample), with (-1)^m moved into the
-    denominator.  Exact hits u == m give 1 without dividing by zero.
+    The Whittaker series in its barycentric form sin(pi u)/pi * sum_m
+    (-1)^m samples[m] / (u - m) (Berrut & Trefethen, SIAM Rev. 46, 501
+    (2004)), added one sample at a time into an array of the broadcast shape
+    of u and samples[0]: no (point x sample) table is formed.  The sine is of
+    the reduced u - k, k = rint(u), so it stays exact far from the origin.
+    A hit u == m gives samples[m]; it is moved off the lattice first, so
+    nothing divides by zero.
     """
     u = np.asarray(u, dtype=float)
-    col = u.reshape(-1, 1)
-    k = np.rint(col)
-    s = np.sin(np.pi * (col - k)) / np.pi * np.where(k % 2, -1.0, 1.0)
-    m = np.arange(n, dtype=float)
-    w = np.empty((col.size, n))
-    np.subtract(col, m[0::2], out=w[:, 0::2])
-    np.subtract(m[1::2], col, out=w[:, 1::2])
-    hit = np.flatnonzero((col == k) & (k >= 0) & (k < n))
-    hit = (hit, k[hit, 0].astype(int))
-    w[hit] = 1.0  # s is 0 there
-    np.divide(s, w, out=w)
-    w[hit] = 1.0
-    return w.reshape(u.shape + (n,))
+    w = np.array(samples, dtype=float)
+    k = np.rint(u)
+    hit = (u == k) & (k >= 0) & (k < len(w))
+    s = np.sin(np.pi * (u - k)) / np.pi * np.where(k % 2, -1.0, 1.0)
+    acc = np.zeros(np.broadcast_shapes(u.shape, w.shape[1:]))
+    # samples[k] at the hits, gathered from the samples padded to the rank of acc
+    v = w.reshape(w.shape[:1] + (1,) * (acc.ndim + 1 - w.ndim) + w.shape[1:])
+    at_k = np.take_along_axis(v, np.broadcast_to(np.where(hit, k, 0).astype(np.intp), acc.shape)[None], axis=0)[0]
+    u = u + 0.5 * hit  # s is 0 at a hit
+    w[1::2] *= -1.0
+    for m in range(len(w)):
+        acc += w[m] / (u - m)
+    acc *= s
+    np.copyto(acc, at_k, where=hit)
+    return acc
 
 
 def quadrature_2d(values: np.ndarray, grid: Grid2D) -> float:

@@ -14,13 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import Grid1D, PreconditionError, SampledFunction1D, sinc_weights, warn_boundary
+from .numerics import SINC_BLOCK, Grid1D, PreconditionError, SampledFunction1D, sinc_sum, warn_boundary
 
 #: Working grid for unit-width states at hbar=1; boundary amplitude < 1e-50.
 DEFAULT_GRID = Grid1D(-16.0, 16.0, 512)
-
-#: Evaluation points per interpolation batch in sampled_state's evaluator.
-CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ def fock_coefficients(psi: WaveFunction, N: int, grid: Grid1D = DEFAULT_GRID) ->
 
 def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sampled") -> WaveFunction:
     """State from grid samples; evaluates anywhere by Whittaker interpolation,
-    the weights coming from numerics.sinc_weights.
+    the series summed by numerics.sinc_sum.
 
     Samples are renormalized to unit L2 norm (with a warning when the
     adjustment is large); the boundary-decay contract is checked.
@@ -115,9 +112,9 @@ def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sample
         raise PreconditionError("sampled state has zero norm")
     if abs(nrm - 1.0) > 1e-6:
         warnings.warn(f"sampled state renormalized (norm was {nrm:.6g})", stacklevel=2)
-    # (n, 2) real view (re, im) of the samples: the real weights multiply it
-    # without first being copied to complex
-    vals = (np.asarray(sf.values, dtype=complex) / nrm).view(float).reshape(-1, 2)
+    # (n, 2, 1) real view (re, im) of the samples: the series sums in real
+    # arithmetic, with the re/im axis outside the long axis of points
+    vals = (np.asarray(sf.values, dtype=complex) / nrm).view(float).reshape(-1, 2, 1)
     grid = sf.grid
 
     def evaluate(x):
@@ -125,8 +122,8 @@ def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sample
         flat = x.ravel()
         out = np.empty(flat.size, dtype=complex)
         pairs = out.view(float).reshape(-1, 2)
-        for i in range(0, flat.size, CHUNK):
-            pairs[i : i + CHUNK] = sinc_weights((flat[i : i + CHUNK] - grid.min) / grid.spacing, grid.n) @ vals
+        for i in range(0, flat.size, SINC_BLOCK):
+            pairs[i : i + SINC_BLOCK] = sinc_sum((flat[i : i + SINC_BLOCK] - grid.min) / grid.spacing, vals).T
         return out.reshape(x.shape)
 
     return WaveFunction(evaluate, hbar, label)

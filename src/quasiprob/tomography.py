@@ -20,12 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import Grid1D, Grid2D, PreconditionError, SQRT2PI, ft_core, sinc_weights
+from .numerics import SINC_BLOCK, Grid1D, Grid2D, PreconditionError, SQRT2PI, ft_core, sinc_sum
 from .states import DirectionAB, WaveFunction, fock_coefficients, hermite_functions
 from .wigner import QuasiDistribution
-
-#: Marginal points per interpolation batch in marginal_of_quasi.
-CHUNK = 64
 
 #: Quadrature grid of the state's oscillator coefficients in quantum_marginal.
 #: Wider and finer than DEFAULT_GRID: at hbar = 1 it holds Gaussians of width
@@ -66,12 +63,11 @@ def marginal_of_quasi(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D) -> Ma
     x = gx.points
     z = zgrid.points
     vals = np.empty(zgrid.n)
-    for i in range(0, zgrid.n, CHUNK):
-        zc = z[i : i + CHUNK, None]
-        pstar = (zc - a * x[None, :]) / b  # (j, k)
-        w = sinc_weights((pstar - gp.min) / gp.spacing, gp.n)
-        rows = np.einsum("km,jkm->jk", values, w)
-        vals[i : i + CHUNK] = np.trapezoid(rows, dx=gx.spacing, axis=1) / abs(b)
+    step = max(1, SINC_BLOCK // gx.n)
+    for i in range(0, zgrid.n, step):
+        pstar = (z[i : i + step, None] - a * x[None, :]) / b  # (j, k)
+        rows = sinc_sum((pstar - gp.min) / gp.spacing, values.T)  # row m of values.T: f at p_m
+        vals[i : i + step] = np.trapezoid(rows, dx=gx.spacing, axis=1) / abs(b)
     peak = np.abs(vals).max()
     # discontinuous payloads ring at ~1e-6 relative through the band-limited
     # lookup; genuine clipping also fails the norm check below

@@ -4,6 +4,8 @@ Each constant carries its derivation so a reviewer can recompute it by
 hand (or with a few lines of sympy) without trusting the library code.
 """
 
+import math
+
 import numpy as np
 
 # Ground-state Wigner function: for psi0(x) = pi^{-1/4} e^{-x^2/2} the
@@ -121,11 +123,29 @@ def apply_P(values, dx, hbar=1.0):
     return hbar * np.fft.ifft(k * np.fft.fft(values))
 
 
-# Band-limited (Whittaker) interpolation as numpy's own sinc writes it,
-# sin(pi t)/(pi t) with 1 at t = 0: the weights sinc(u - m) of n unit-spaced
-# samples at u in sample units, shape u.shape + (n,).
-def sinc_weights(u, n):
-    return np.sinc(np.asarray(u, dtype=float)[..., None] - np.arange(n))
+# The Whittaker series sum_m v[m] sinc(u - m) of unit-spaced samples, term by
+# term at each point of the broadcast shape of u and v[0], with the sum of
+# |sinc(u - m) v[m]| that scales its rounding.  Each weight is
+# (-1)^(k-m) sin(pi (u - k)) / (pi (u - m)) with k = rint(u), 1 at u == m:
+# the reduced sine stays exact far from the origin, where numpy's np.sinc,
+# which takes sin(pi (u - m)) whole, is off by up to 1.6e-13 relative.
+# The products are added by math.fsum.
+def sinc_sum(u, v):
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    shape = np.broadcast_shapes(u.shape, v.shape[1:])
+    ub = np.broadcast_to(u, shape)
+    vb = np.broadcast_to(v.reshape(v.shape[:1] + (1,) * (len(shape) + 1 - v.ndim) + v.shape[1:]), v.shape[:1] + shape)
+    total, scale = np.empty(shape), np.empty(shape)
+    for i in np.ndindex(shape):
+        x = float(ub[i])
+        k = round(x)
+        s = math.sin(math.pi * (x - k)) / math.pi
+        terms = [
+            float(vb[(m,) + i]) * (1.0 if x == m else (-1) ** ((k - m) % 2) * s / (x - m))
+            for m in range(len(v))
+        ]
+        total[i], scale[i] = math.fsum(terms), math.fsum(map(abs, terms))
+    return total, scale
 
 
 # psi at points x from samples v on the lattice x0 + m dx, by Whittaker

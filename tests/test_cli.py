@@ -412,6 +412,22 @@ def test_tomo_searches_the_state_coefficients_once_per_direction_set(tmp_path, c
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("kind", ["rect", "smooth"])
+def test_tamper_searches_the_state_coefficients_once(tmp_path, capsys, monkeypatch, kind):
+    # the axes and the probes are one direction set
+    calls = []
+    marginals = tomography.quantum_marginal
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return marginals(*args, **kwargs)
+
+    monkeypatch.setattr(tomography, "quantum_marginal", counted)
+    code, _ = run(["tamper", "--kind", kind, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert calls == [8]
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests as a reference
     src = str(Path(quasiprob.__file__).parents[1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from quasiprob.numerics import (
     SampledFunction1D,
     ft_core,
     quadrature_2d,
-    sinc_weights,
+    sinc_sum,
     square_grid,
     warn_boundary,
 )
@@ -167,14 +169,40 @@ def test_boundary_warning_fires_on_clipped_input():
         (np.random.default_rng(7).uniform(-3.0, 35.0, 400), 32),  # random in [-3, n+3]
         (np.arange(-5.0, 38.0), 32),  # exact integers inside and outside [0, n)
         (-np.random.default_rng(8).uniform(0.0, 50.0, 100), 16),  # negative
-        (np.random.default_rng(9).uniform(-3.0, 19.0, (7, 9)), 16),  # 2-D
+        (np.random.default_rng(9).uniform(-3.0, 19.0, (7, 9)), 16),  # 2-D, one sample set per column
         (np.array([1000.0 + 1e-9, 999.5, 1000.0]), 1002),  # unreduced sin(pi u) is off here
         (2.0, 4),  # 0-d
     ],
     ids=["random", "integers", "negative", "2d", "far-from-origin", "scalar"],
 )
-def test_sinc_weights_match_numpy_sinc(u, n):
-    w = sinc_weights(u, n)
-    assert w.shape == np.shape(u) + (n,)
-    assert np.max(np.abs(w - oracle.sinc_weights(u, n))) <= 4e-16
+def test_sinc_sum_matches_fsum_oracle(u, n):
+    v = np.random.default_rng(10).standard_normal((n,) + np.shape(u)[1:])
+    got = sinc_sum(u, v)
+    assert got.shape == np.broadcast_shapes(np.shape(u), v.shape[1:])
+    ref, scale = oracle.sinc_sum(u, v)
+    assert np.all(np.abs(got - ref) <= 2e-15 * scale)
 
+
+@pytest.mark.parametrize(
+    "u_shape, v_shape, out_shape",
+    [((40, 24), (32, 24), (40, 24)), ((960,), (32, 2, 1), (2, 960))],
+    ids=["marginal-rows", "state-pairs"],
+)
+def test_sinc_sum_hits_and_caller_shapes(u_shape, v_shape, out_shape):
+    # the two callers' layouts: (z, x) points against one sample set per
+    # column, and a long axis of points against the (n, 2, 1) re/im view
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-4.0, 36.0, u_shape)
+    flat = u.reshape(-1)
+    flat[::3] = np.rint(flat[::3])  # exact hits, inside and outside [0, 32)
+    v = rng.standard_normal(v_shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sinc_sum(u, v)
+    assert got.shape == out_shape
+    ref, scale = oracle.sinc_sum(u, v)
+    assert np.all(np.abs(got - ref) <= 2e-15 * scale)
+    on_lattice = np.broadcast_to(u == np.rint(u), out_shape)
+    hit = on_lattice & np.broadcast_to((u >= 0) & (u < 32), out_shape)
+    assert np.array_equal(got[hit], ref[hit])  # the sample itself
+    assert np.all(got[on_lattice & ~hit] == 0.0)  # the plain sum, 0 there

@@ -138,7 +138,7 @@ def test_j2m_sides_share_only_ft_core(trace):
         assert lhs & rhs <= {"numerics.ft_core"}
 
 
-@pytest.mark.parametrize("kind, shared", [("closed", set()), ("file", {"numerics.sinc_weights"})])
+@pytest.mark.parametrize("kind, shared", [("closed", set()), ("file", {"numerics.sinc_sum"})])
 def test_direction_residual_routes_share_only_stateless_primitives(trace, states, kind, shared):
     psi = states[kind]
     f = wigner_transform(psi, GRID)

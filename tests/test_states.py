@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,6 +111,21 @@ def test_sampled_state_matches_whittaker_oracle(tmp_path):
     x = np.concatenate([g.points, np.linspace(-11.0, 11.0, 1024)]).reshape(3, -1)
     ref = oracle.whittaker(x, g.min, g.spacing, vals + 0j)
     assert np.max(np.abs(psi(x) - ref)) <= 1e-15
+
+
+def test_sampled_state_memory_is_bounded():
+    # 16384 points against 128 samples: the series is summed one sample at
+    # a time, with no (point x sample) table of 16 MB
+    g = Grid1D(-8.0, 8.0, 128)
+    psi = sampled_state(SampledFunction1D(g, gaussian_state(0.0, 0.0, 1.0)(g.points)))
+    x = np.linspace(-9.0, 9.0, 16384)
+    tracemalloc.start()
+    try:
+        psi(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_sampled_state_rejects_nonpositive_hbar():

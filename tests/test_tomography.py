@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -163,6 +164,21 @@ def test_marginal_of_quasi_matches_sinc_oracle(bump_distribution, ab):
     else:
         ref = oracle.line_marginal(f.values.T, gp.points, gp.spacing, gx.points, gx.spacing, b, a, zg.points)
     assert np.max(np.abs(m.values - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("nz", [128, 512])
+def test_marginal_of_quasi_memory_is_bounded(nz):
+    # the Whittaker sum runs one sample at a time over blocks of points, so
+    # no (point x sample) table is formed: 128 x 128 x nz would be 16 MB and up
+    f = wigner_transform(gaussian_state(0.4, -0.7, 1.1), square_grid(-8.0, 8.0, 128))
+    zg, d = Grid1D(-12.0, 12.0, nz), DirectionAB(0.6, 0.8)
+    tracemalloc.start()
+    try:
+        marginal_of_quasi(f, d, zg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_j2m_residuals_small_for_wigner(ground, excited, mid_grid):
