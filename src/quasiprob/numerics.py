@@ -142,18 +142,25 @@ def sinc_sum(u, samples) -> np.ndarray:
     (2004)), added one sample at a time into an array of the broadcast shape
     of u and samples[0]: no (point x sample) table is formed.  The sine is of
     the reduced u - k, k = rint(u), so it stays exact far from the origin.
-    A hit u == m gives samples[m]; it is moved off the lattice first, so
-    nothing divides by zero.
+    A hit u == m with 0 <= m < n gives samples[m]; it is moved off the
+    lattice first, so nothing divides by zero, and when every point is a hit
+    the gathered samples are returned without the sum.  The samples are
+    copied in C order, so each samples[m] read by the loop is contiguous even
+    when the caller passes a transposed view.
     """
     u = np.asarray(u, dtype=float)
-    w = np.array(samples, dtype=float)
+    w = np.array(samples, dtype=float, order="C")
     k = np.rint(u)
     hit = (u == k) & (k >= 0) & (k < len(w))
+    shape = np.broadcast_shapes(u.shape, w.shape[1:])
+    # samples[k] at the hits, gathered from the samples padded to the rank of the result
+    v = w.reshape(w.shape[:1] + (1,) * (len(shape) + 1 - w.ndim) + w.shape[1:])
+    idx = np.broadcast_to(np.where(hit, k, 0).astype(np.intp), shape)
+    at_k = np.take_along_axis(v, idx[None], axis=0).reshape(shape)
+    if hit.all():
+        return at_k
     s = np.sin(np.pi * (u - k)) / np.pi * np.where(k % 2, -1.0, 1.0)
-    acc = np.zeros(np.broadcast_shapes(u.shape, w.shape[1:]))
-    # samples[k] at the hits, gathered from the samples padded to the rank of acc
-    v = w.reshape(w.shape[:1] + (1,) * (acc.ndim + 1 - w.ndim) + w.shape[1:])
-    at_k = np.take_along_axis(v, np.broadcast_to(np.where(hit, k, 0).astype(np.intp), acc.shape)[None], axis=0)[0]
+    acc = np.zeros(shape)
     u = u + 0.5 * hit  # s is 0 at a hit
     w[1::2] *= -1.0
     for m in range(len(w)):

@@ -24,10 +24,10 @@ W1_NEGATIVE_VOLUME = 2.0 * np.exp(-0.5) - 1.0
 # to but not exactly on the analytic value; tests allow this gap.
 W1_NEGATIVE_VOLUME_GRID_TOL = 5e-5
 
-# Characteristic function of a coherent state at (x0, p0), unit width,
-# hbar = 1: <e^{-i(aX+bP)}> = e^{-i(a x0 + b p0)} e^{-(a^2+b^2)/4}.
-def coherent_cf(alpha, beta, x0=0.0, p0=0.0):
-    return np.exp(-1j * (alpha * x0 + beta * p0)) * np.exp(-(alpha**2 + beta**2) / 4.0)
+# Characteristic function of a coherent state at (x0, p0), width sqrt(hbar):
+# <e^{-i(aX+bP)}> = e^{-i(a x0 + b p0)} e^{-hbar(a^2+b^2)/4}.
+def coherent_cf(alpha, beta, x0=0.0, p0=0.0, hbar=1.0):
+    return np.exp(-1j * (alpha * x0 + beta * p0)) * np.exp(-hbar * (alpha**2 + beta**2) / 4.0)
 
 
 # Marginal of the ground state along any unit direction (a,b): z = a x + b p

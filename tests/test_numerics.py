@@ -206,3 +206,32 @@ def test_sinc_sum_hits_and_caller_shapes(u_shape, v_shape, out_shape):
     hit = on_lattice & np.broadcast_to((u >= 0) & (u < 32), out_shape)
     assert np.array_equal(got[hit], ref[hit])  # the sample itself
     assert np.all(got[on_lattice & ~hit] == 0.0)  # the plain sum, 0 there
+
+
+def test_sinc_sum_transposed_samples_are_bitwise_the_c_ordered_copy():
+    # the (z, x) marginal layout: f has one row per x and one column per p,
+    # and the caller passes f.T, one sample set per x column, in F order
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((24, 32))
+    u = rng.uniform(-2.0, 34.0, (40, 24))
+    u[::4] = np.rint(u[::4])
+    assert not f.T.flags.c_contiguous
+    got = sinc_sum(u, f.T)
+    ref = sinc_sum(u, np.ascontiguousarray(f.T))
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "u_shape, v_shape", [((40, 24), (32, 24)), ((960,), (32, 2, 1))], ids=["marginal-rows", "state-pairs"]
+)
+def test_sinc_sum_all_hits_are_bitwise_the_samples(u_shape, v_shape):
+    rng = np.random.default_rng(13)
+    m = rng.integers(0, 32, u_shape)
+    v = rng.standard_normal(v_shape)
+    got = sinc_sum(m.astype(float), v)
+    if len(v_shape) == 2:
+        ref = np.take_along_axis(v, m, axis=0)  # row j of u gathers v[m[j, c], c]
+    else:
+        ref = v[m, :, 0].T  # (2, P): re and im at each point
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()

@@ -152,6 +152,16 @@ def test_marginal_of_quasi_mirror_branch(coherent23):
     assert np.max(np.abs(mq.values - mm.values)) < 1e-8
 
 
+def test_marginal_of_quasi_on_the_x_axis_is_the_p_quadrature(excited, mid_grid):
+    # along (1, 0) on f's own x-axis every lookup is a sample of f, so the
+    # marginal is the trapezoid over p, bit for bit
+    f = wigner_transform(excited, mid_grid)
+    gx, gp = mid_grid.gx, mid_grid.gp
+    m = marginal_of_quasi(f, DirectionAB(1.0, 0.0), Grid1D(gx.min, gx.max, gx.n))
+    ref = np.trapezoid(f.values, dx=gp.spacing, axis=1)
+    assert m.values.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("ab", [(0.6, 0.8), (0.96, -0.28)], ids=["p-lookup", "x-lookup"])
 def test_marginal_of_quasi_matches_sinc_oracle(bump_distribution, ab):
     f = bump_distribution

@@ -51,9 +51,10 @@ def test_coherent_state_is_displaced_gaussian(coherent23):
     assert np.max(np.abs(f.values - ref)) < 1e-11
 
 
-def test_hbar_scaling():
-    # at hbar = 2 the ground state is wider: W = e^{-(x^2+p^2)/hbar}/(pi hbar)
-    h = 2.0
+@pytest.mark.parametrize("h", [0.5, 2.0])
+def test_hbar_scaling(h):
+    # the ground state's width follows hbar: W = e^{-(x^2+p^2)/hbar}/(pi hbar),
+    # whose peak 1/(pi hbar) exceeds 1/pi below hbar = 1
     psi = oscillator_eigenstate(0, hbar=h)
     grid = square_grid(-8.0, 8.0, 160)
     f = wigner_transform(psi, grid)
@@ -85,6 +86,19 @@ def test_characteristic_function_off_center_phase():
     A, B = np.meshgrid(a, a, indexing="ij")
     vals = characteristic_function(psi, A, B)
     ref = oracle.coherent_cf(A, B, 1.0, -1.0)
+    assert np.max(np.abs(vals - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("h", [0.5, 2.0])
+def test_characteristic_function_coherent_at_hbar(h):
+    # coherent state (sigma = sqrt(hbar)) on a grid with a, b != 0, so the
+    # commutator phase e^{i a b hbar/2} is in play
+    x0, p0 = 1.0, -1.5
+    psi = gaussian_state(x0, p0, np.sqrt(h), hbar=h)
+    a = np.linspace(-1.75, 1.75, 8)
+    A, B = np.meshgrid(a, a, indexing="ij")
+    vals = characteristic_function(psi, A, B)
+    ref = oracle.coherent_cf(A, B, x0, p0, hbar=h)
     assert np.max(np.abs(vals - ref)) < 1e-12
 
 
