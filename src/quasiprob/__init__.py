@@ -25,8 +25,9 @@ from .spin import (
 from .states import (
     DEFAULT_GRID,
     DirectionAB,
+    FockExpansion,
     WaveFunction,
-    fock_coefficients,
+    fock_expansion,
     gaussian_state,
     hermite_functions,
     oscillator_eigenstate,
@@ -37,7 +38,6 @@ from .tomography import (
     direction_residuals,
     fan,
     fhat_on_ray,
-    find_violated_direction,
     marginal_of_quasi,
     quantum_marginal,
     reconstruct_from_marginals,

@@ -30,11 +30,10 @@ import numpy as np
 from .numerics import Grid1D, Grid2D, PreconditionError, square_grid
 from .serial import read_sampled_csv, write_csv, write_json, write_wigner_csv
 from .spin import SpinState, expectations, feynman_choice, nonneg_window, zx_sum_spectrum_report
-from .states import DirectionAB, WaveFunction, gaussian_state, oscillator_eigenstate, sampled_state
+from .states import DirectionAB, WaveFunction, fock_expansion, gaussian_state, oscillator_eigenstate, sampled_state
 from .tomography import (
     direction_residuals,
     fan,
-    find_violated_direction,
     quantum_marginal,
     rectangle_modification,
     reconstruct_from_marginals,
@@ -302,7 +301,7 @@ def cmd_marginal(o: dict) -> dict:
     th = o["theta"]
     dvec = DirectionAB(float(np.cos(th)), float(np.sin(th)))
     zgrid = _grid1("z", o["zmin"], o["zmax"], o["zn"])
-    (m,) = quantum_marginal(psi, [dvec], zgrid)
+    (m,) = quantum_marginal(fock_expansion(psi), [dvec], zgrid)
     _require_unit("marginal integral", m.integral())
     write_csv(Path(o["out"]) / "marginal.csv", ("z", "g"), zgrid.points, m.values)
     report = {
@@ -324,7 +323,8 @@ def cmd_tomo(o: dict) -> dict:
         raise PreconditionError(f"tomo needs at least 2 directions, got {ndirs}")
     grid = square_grid(-8.0, 8.0, 128)
     zgrid = Grid1D(-32.0, 32.0, 512)
-    margs = quantum_marginal(psi, fan(ndirs), zgrid)
+    fock = fock_expansion(psi)  # one search serves the fan and the probes
+    margs = quantum_marginal(fock, fan(ndirs), zgrid)
     for m in margs:
         _require_unit("marginal integral", m.integral())
     rec = reconstruct_from_marginals(margs, grid)
@@ -336,15 +336,16 @@ def cmd_tomo(o: dict) -> dict:
         # reconstruction error, so marginal_of_quasi's unit-norm warning on
         # them is redundant here
         warnings.simplefilter("ignore", UserWarning)
-        worst_theta, worst_residual = find_violated_direction(rec, psi, probes)
+        res = direction_residuals(rec, fock, probes)
+    k = int(np.argmax(res))
     report = {
         "kind": "tomo-report",
         "state": o["state"],
         "hbar": o["hbar"],
         "ndirs": ndirs,
         "l2_error": l2,
-        "worst_theta": worst_theta,
-        "worst_residual": worst_residual,
+        "worst_theta": probes[k],
+        "worst_residual": float(res[k]),
     }
     return report
 
@@ -360,7 +361,7 @@ def cmd_tamper(o: dict) -> dict:
     else:
         raise PreconditionError(f"tamper kind must be rect or smooth, got {o['kind']!r}")
     probes = [k * np.pi / 8 for k in range(1, 8) if k != 4]
-    res = direction_residuals(mod, psi, [0.0, np.pi / 2] + probes)  # one coefficient search for all 8
+    res = direction_residuals(mod, fock_expansion(psi), [0.0, np.pi / 2] + probes)
     k = 2 + int(np.argmax(res[2:]))
     report = {
         "kind": "tamper-report",
@@ -381,7 +382,7 @@ def cmd_weyl_check(o: dict) -> dict:
     psi = parse_state(o["state"], o["hbar"])
     g = symbol(o["g"])
     M = weyl_quantize(g, o["dim"], hbar=psi.hbar)
-    lhs, rhs, diff = moyal_expectation_check(g, psi, M)
+    lhs, rhs, diff = moyal_expectation_check(g, psi, fock_expansion(psi), M)
     report = {
         "kind": "weyl-check",
         "state": o["state"],

@@ -21,16 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import SINC_BLOCK, Grid1D, Grid2D, PreconditionError, SQRT2PI, ft_core, sinc_sum
-from .states import DirectionAB, WaveFunction, fock_coefficients, hermite_functions
+from .states import DirectionAB, FockExpansion, hermite_functions
 from .wigner import QuasiDistribution
-
-#: Quadrature grid of the state's oscillator coefficients in quantum_marginal.
-#: Wider and finer than DEFAULT_GRID: at hbar = 1 it holds Gaussians of width
-#: 0.2 to 4 and resolves them against h_n up to n = FOCK_CAP.
-FOCK_GRID = Grid1D(-32.0, 32.0, 2048)
-
-#: Largest oscillator basis quantum_marginal tries before it fails closed.
-FOCK_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,7 @@ def marginal_of_quasi(f: QuasiDistribution, d: DirectionAB, zgrid: Grid1D) -> Ma
     return m
 
 
-def quantum_marginal(psi: WaveFunction, dirs: Sequence[DirectionAB], zgrid: Grid1D) -> list[Marginal]:
+def quantum_marginal(fock: FockExpansion, dirs: Sequence[DirectionAB], zgrid: Grid1D) -> list[Marginal]:
     """Measurement distributions of a X + b P predicted by the state itself,
     one per direction of dirs, in order.
 
@@ -93,29 +85,16 @@ def quantum_marginal(psi: WaveFunction, dirs: Sequence[DirectionAB], zgrid: Grid
 
         g(z) = |sum_n c_n e^{-i n theta} h_n(z / (r s))|^2 / (r s)
 
-    with c_n = <n|psi> from fock_coefficients on FOCK_GRID (Cahill & Glauber,
-    Phys. Rev. 177, 1882 (1969)).  N doubles from 64 until the top quarter of
-    |c_n| is at most 1e-15 and sum |c_n|^2 is 1 within 1e-6 (a state displaced
-    far from the origin has a negligible top quarter long before its norm is
-    in); a state that needs more than FOCK_CAP fails closed.  The search runs
-    once per call and the h_n table once per distinct r, so a fan shares one.
-    The norm of each marginal is left to the caller, as Marginal.integral().
+    with c_n = <n|psi> the state's fock_expansion.  The h_n table is built
+    once per distinct r, so a fan shares one.  The norm of each marginal is
+    left to the caller, as Marginal.integral().
     """
-    N = 64
-    while True:
-        c = fock_coefficients(psi, N, FOCK_GRID)
-        norm = float(np.sum(np.abs(c) ** 2))
-        if np.abs(c[3 * N // 4 :]).max() <= 1e-15 and abs(norm - 1.0) <= 1e-6:
-            break
-        if N >= FOCK_CAP:
-            if not abs(norm - 1.0) <= 1e-6:
-                raise PreconditionError(f"the state's oscillator norm over n < {N} is {norm!r}, not 1 within 1e-6")
-            raise PreconditionError(f"the state's oscillator coefficients have not decayed to 1e-15 by n = {N}")
-        N *= 2
+    c = fock.c
+    N = c.size
     tables: dict[float, np.ndarray] = {}
     out = []
     for d in dirs:
-        scale = d.norm * np.sqrt(psi.hbar)
+        scale = d.norm * np.sqrt(fock.hbar)
         if scale not in tables:
             tables[scale] = hermite_functions(N - 1, zgrid.points / scale)
         amp = (c * np.exp(-1j * np.arange(N) * np.arctan2(d.b, d.a))) @ tables[scale]
@@ -259,22 +238,13 @@ def smooth_modification(
     return QuasiDistribution(f.grid, f.values + c * X * P * np.exp(-a * X**2 - b * P**2))
 
 
-def direction_residuals(f: QuasiDistribution, psi: WaveFunction, thetas: Sequence[float]) -> np.ndarray:
-    """Max-abs gap between f's marginal and the state's prediction per angle,
-    both on the coarser phase-space axis of f's grid."""
+def direction_residuals(f: QuasiDistribution, fock: FockExpansion, thetas: Sequence[float]) -> np.ndarray:
+    """Max-abs gap between f's marginal and the prediction of the state with
+    expansion fock, per angle, both on the coarser phase-space axis of f's grid."""
     gx, gp = f.grid.gx, f.grid.gp
     zgrid = gx if gx.spacing >= gp.spacing else gp
     dirs = [DirectionAB(float(np.cos(t)), float(np.sin(t))) for t in thetas]
     out = np.empty(len(dirs))
-    for i, q in enumerate(quantum_marginal(psi, dirs, zgrid)):
+    for i, q in enumerate(quantum_marginal(fock, dirs, zgrid)):
         out[i] = np.abs(marginal_of_quasi(f, q.direction, zgrid).values - q.values).max()
     return out
-
-
-def find_violated_direction(f: QuasiDistribution, psi: WaveFunction, thetas: Sequence[float]) -> tuple[float, float]:
-    """Angle with the worst marginal mismatch and that residual."""
-    if len(thetas) == 0:
-        raise PreconditionError("find_violated_direction needs at least one angle")
-    res = direction_residuals(f, psi, thetas)
-    k = int(np.argmax(res))
-    return (float(thetas[k]), float(res[k]))

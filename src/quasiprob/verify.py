@@ -15,7 +15,7 @@ import numpy as np
 
 from .numerics import Grid1D, Grid2D, ft_core, square_grid
 from .spin import SpinState, feynman_choice, nonneg_window, quasi_family, zx_sum_spectrum_report
-from .states import DirectionAB, gaussian_state, oscillator_eigenstate
+from .states import DirectionAB, FockExpansion, WaveFunction, fock_expansion, gaussian_state, oscillator_eigenstate
 from .tomography import (
     direction_residuals,
     fan,
@@ -57,19 +57,15 @@ class _Suite:
         self.checks.append(Check(name, bool(value >= bound), float(value), float(bound)))
 
 
-def moyal_table(N: int = 64) -> list[tuple[str, str, float, float, float]]:
-    """(symbol, state, lhs, rhs, |lhs-rhs|) for the six-symbol, three-state set;
-    each symbol is quantized once and its matrix serves all three states."""
+def moyal_table(N: int, states: list[tuple[str, WaveFunction, FockExpansion]]) -> list[tuple[str, str, float, float, float]]:
+    """(symbol, state, lhs, rhs, |lhs-rhs|) for six symbols and the given
+    (name, state, expansion) triples; each symbol is quantized once and its
+    matrix serves every state."""
     syms = [symbol(n) for n in ("x", "p", "x2", "p2", "xp", "gauss")]
     mats = [weyl_quantize(s, N) for s in syms]
-    states = [
-        ("ground", oscillator_eigenstate(0)),
-        ("excited", oscillator_eigenstate(1)),
-        ("coherent(2,3)", gaussian_state(2.0, 3.0, 1.0)),
-    ]
     return [
-        (s.label, sname, *moyal_expectation_check(s, psi, G))
-        for sname, psi in states
+        (s.label, sname, *moyal_expectation_check(s, psi, fock, G))
+        for sname, psi, fock in states
         for s, G in zip(syms, mats)
     ]
 
@@ -90,6 +86,7 @@ def run_verify() -> dict:
     psi0 = oscillator_eigenstate(0)
     psi1 = oscillator_eigenstate(1)
     coh = gaussian_state(2.0, 3.0, 1.0)
+    fock0, fock1, fockc = (fock_expansion(psi) for psi in (psi0, psi1, coh))
 
     # transform sanity: shifted Gaussian round trip on an offset grid
     g_off = Grid1D(-3.7, 9.1, 200)
@@ -148,14 +145,14 @@ def run_verify() -> dict:
     wc = wigner_transform(coh, gc)
     eighths = [k * np.pi / 8 for k in range(8)]
     worst = max(
-        float(direction_residuals(f, psi, eighths).max()) for f, psi in ((w0, psi0), (w1, psi1), (wc, coh))
+        float(direction_residuals(f, fock, eighths).max()) for f, fock in ((w0, fock0), (w1, fock1), (wc, fockc))
     )
     s.le("marginal-match-max", worst, 1e-6)
 
     # reconstruction from 64 directions
     zrec = Grid1D(-32.0, 32.0, 512)
-    for name, psi, f_ref, tol in (("ground", psi0, w0, 1e-3), ("excited", psi1, w1, 1e-2)):
-        margs = quantum_marginal(psi, fan(64), zrec)
+    for name, fock, f_ref, tol in (("ground", fock0, w0, 1e-3), ("excited", fock1, w1, 1e-2)):
+        margs = quantum_marginal(fock, fan(64), zrec)
         rec = reconstruct_from_marginals(margs, mid)
         l2 = float(np.sqrt(np.sum((rec.values - f_ref.values) ** 2) * mid.gx.spacing * mid.gp.spacing))
         s.le(f"reconstruction-{name}-l2", l2, tol)
@@ -165,7 +162,7 @@ def run_verify() -> dict:
         ("rect", rectangle_modification(w0, 1.5, 1.5, 0.05)),
         ("smooth", smooth_modification(w0, 1.0, 1.0, 0.1)),
     ):
-        res = direction_residuals(mod, psi0, [0.0, np.pi / 2, np.pi / 4])
+        res = direction_residuals(mod, fock0, [0.0, np.pi / 2, np.pi / 4])
         s.le(f"tamper-{name}-axis-max", float(res[:2].max()), 1e-9)
         s.gt(f"tamper-{name}-oblique-residual", float(res[2]), 1e-3)
 
@@ -183,7 +180,7 @@ def run_verify() -> dict:
     s.le("displacement-charfn-dev", float(abs(e0 @ (D @ e0) - np.exp(-0.5))), 1e-6)
 
     # expectation equality for six symbols and three states
-    table = moyal_table(64)
+    table = moyal_table(64, [("ground", psi0, fock0), ("excited", psi1, fock1), ("coherent(2,3)", coh, fockc)])
     s.le("moyal-max-diff", max(row[4] for row in table), 1e-4)
 
     # spin family: frozen values, window, negativity flip, spectrum mismatch

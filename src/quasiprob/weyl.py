@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import Grid2D, PreconditionError, quadrature_2d, square_grid
-from .states import DEFAULT_GRID, WaveFunction, fock_coefficients
+from .states import FockExpansion, WaveFunction
 from .wigner import wigner_transform
 
 #: Damping rate for polynomial symbols; see the module docstring.
@@ -204,24 +204,24 @@ def interior_block(M: np.ndarray) -> np.ndarray:
 
 
 def moyal_expectation_check(
-    g: PhaseSpaceFunction, psi: WaveFunction, G: np.ndarray
+    g: PhaseSpaceFunction, psi: WaveFunction, fock: FockExpansion, G: np.ndarray
 ) -> tuple[float, float, float]:
     """Both sides of <psi| g(X,P) |psi> = integral g * f and their gap.
 
     Left: sandwich G, the N x N quantization of g at psi's hbar, with the
-    state's oscillator coefficients (their tail beyond N must carry less
-    than 1e-10 of the norm).  The caller quantizes, so verify reuses one
-    matrix for three states and weyl-check dumps the matrix it checked.
-    Right: quadrature of g against the state's quasi-distribution on
-    MOYAL_GRID.
+    first N of the state's oscillator coefficients fock.c, zero-padded past
+    len(c); the coefficients from N on must carry at most 1e-10 of the norm.
+    The caller quantizes, so verify reuses one matrix for three states and
+    weyl-check dumps the matrix it checked.  Right: quadrature of g against
+    the state's quasi-distribution on MOYAL_GRID.
     """
     N = G.shape[0]
-    c = fock_coefficients(psi, N, DEFAULT_GRID)
-    tail = 1.0 - float(np.sum(np.abs(c) ** 2))
-    if tail > 1e-10:
+    tail = float(np.sum(np.abs(fock.c[N:]) ** 2))
+    if not tail <= 1e-10:
         raise PreconditionError(
             f"state's coefficient tail beyond N={N} is {tail:.2e} (> 1e-10); increase N"
         )
+    c = np.pad(fock.c[:N], (0, max(0, N - fock.c.size)))
     lhs = float(np.real(np.conj(c) @ G @ c))
 
     f = wigner_transform(psi, MOYAL_GRID)

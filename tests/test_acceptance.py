@@ -24,9 +24,9 @@ from quasiprob.spin import (
     quasi_family,
     zx_sum_spectrum_report,
 )
-from quasiprob.states import DirectionAB, gaussian_state
+from quasiprob.states import DirectionAB, fock_expansion, gaussian_state
 from quasiprob.tomography import (
-    find_violated_direction,
+    direction_residuals,
     marginal_of_quasi,
     quantum_marginal,
     reconstruct_from_marginals,
@@ -37,7 +37,6 @@ from quasiprob.tomography import (
 from quasiprob.verify import moyal_table
 from quasiprob.weyl import (
     displacement,
-    fock_coefficients,
     interior_block,
     oscillator_matrices,
     symbol,
@@ -88,7 +87,7 @@ def test_criterion_03_characteristic_closed_form_and_phase(ground):
     dev1 = float(np.max(np.abs(characteristic_function(psi, A, B) - oracle.coherent_cf(A, B, 1.0, -1.0))))
     assert dev1 < 1e-8, f"off-center probe dev {dev1:.3e} >= 1e-8"
 
-    c = fock_coefficients(psi, 64)
+    c = fock_expansion(psi).c[:64]
     dev2 = 0.0
     for alpha in (-1.0, 0.5, 2.0):
         for beta in (-1.5, 1.0):
@@ -140,12 +139,13 @@ def test_criterion_05_marginals_along_32_directions(ground, excited, coherent23,
         (coherent23, wigner_transform(coherent23, wide), zgc),
     ]
     worst = 0.0
+    focks = [fock_expansion(psi) for psi, _, _ in cases]
     for k in range(32):
         th = k * np.pi / 32
         d = DirectionAB(float(np.cos(th)), float(np.sin(th)))
-        for psi, f, grid in cases:
+        for (psi, f, grid), fock in zip(cases, focks):
             mq = marginal_of_quasi(f, d, grid)
-            (mm,) = quantum_marginal(psi, [d], grid)
+            (mm,) = quantum_marginal(fock, [d], grid)
             dev = float(np.max(np.abs(mq.values - mm.values)))
             worst = max(worst, dev)
             assert dev < 1e-6, f"{psi.label} at theta={th:.3f}: dev {dev:.3e} >= 1e-6"
@@ -158,7 +158,7 @@ def test_criterion_06_reconstruction_and_counterexamples(ground, excited, mid_gr
     cell = mid_grid.gx.spacing * mid_grid.gp.spacing
     l2 = {}
     for psi, label in ((ground, "ground"), (excited, "excited")):
-        margs = quantum_marginal(psi, dirs, zg)
+        margs = quantum_marginal(fock_expansion(psi), dirs, zg)
         rec = reconstruct_from_marginals(margs, mid_grid)
         ref = wigner_transform(psi, mid_grid)
         l2[label] = float(np.sqrt(np.sum((rec.values - ref.values) ** 2) * cell))
@@ -168,6 +168,7 @@ def test_criterion_06_reconstruction_and_counterexamples(ground, excited, mid_gr
     f = wigner_transform(ground, mid_grid)
     zfine = Grid1D(-8.0, 8.0, 128)
     probes = [k * np.pi / 8 for k in range(1, 8) if k != 4]
+    fock = fock_expansion(ground)
     flagged = {}
     for label, mod in (
         ("rect", rectangle_modification(f, 1.5, 1.5, 0.05)),
@@ -175,23 +176,24 @@ def test_criterion_06_reconstruction_and_counterexamples(ground, excited, mid_gr
     ):
         for ab in ((1.0, 0.0), (0.0, 1.0)):
             d = DirectionAB(*ab)
-            (m0,) = quantum_marginal(ground, [d], zfine)
+            (m0,) = quantum_marginal(fock, [d], zfine)
             m1 = marginal_of_quasi(mod, d, zfine)
             axis_dev = float(np.max(np.abs(m1.values - m0.values)))
             assert axis_dev < 1e-9, f"{label} axis {ab}: dev {axis_dev:.3e} >= 1e-9"
-        theta, residual = find_violated_direction(mod, ground, probes)
+        residual = float(direction_residuals(mod, fock, probes).max())
         assert residual > 1e-3, f"{label} worst residual {residual:.3e} <= 1e-3"
-        flagged[label] = (theta, residual)
+        flagged[label] = residual
     report(
         6,
         f"L2 ground {l2['ground']:.3e} (tol 1e-3), excited {l2['excited']:.3e} (tol 1e-2); "
-        f"tampered axes clean <=1e-9, flagged rect {flagged['rect'][1]:.3e} / "
-        f"smooth {flagged['smooth'][1]:.3e} (floor 1e-3)",
+        f"tampered axes clean <=1e-9, flagged rect {flagged['rect']:.3e} / "
+        f"smooth {flagged['smooth']:.3e} (floor 1e-3)",
     )
 
 
-def test_criterion_07_moyal_expectations_at_dim_64():
-    table = moyal_table(64)
+def test_criterion_07_moyal_expectations_at_dim_64(ground, excited, coherent23):
+    named = (("ground", ground), ("excited", excited), ("coherent(2,3)", coherent23))
+    table = moyal_table(64, [(name, psi, fock_expansion(psi)) for name, psi in named])
     assert len(table) == 18  # six symbols, three states
     worst = max(row[4] for row in table)
     assert worst < 1e-4, f"worst Moyal diff {worst:.3e} >= 1e-4"

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import quasiprob
-from quasiprob import cli, tomography
+from quasiprob import cli, tomography, verify
 from quasiprob.cli import main
 from quasiprob.serial import load_schema, write_sampled_csv
 from quasiprob.numerics import Grid1D, SampledFunction1D
-from quasiprob.states import gaussian_state, oscillator_eigenstate
+from quasiprob.states import fock_expansion, gaussian_state, oscillator_eigenstate
 
 SCHEMA = load_schema()
 
@@ -395,25 +395,31 @@ def test_extreme_gaussian_width_exits_1_with_one_line(tmp_path, capsys, argv, si
     assert not any(out.iterdir())
 
 
-def test_tomo_searches_the_state_coefficients_once_per_direction_set(tmp_path, capsys, monkeypatch):
-    # one search for the fan, one for the probes of the reconstruction
+@pytest.fixture
+def searches(monkeypatch):
+    """Labels of the states that cli and verify expand, one per coefficient search."""
     calls = []
-    search = tomography.fock_coefficients
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return search(*args, **kwargs)
+    def counted(psi):
+        calls.append(psi.label)
+        return fock_expansion(psi)
 
-    monkeypatch.setattr(tomography, "fock_coefficients", counted)
+    monkeypatch.setattr(cli, "fock_expansion", counted)
+    monkeypatch.setattr(verify, "fock_expansion", counted)
+    return calls
+
+
+def test_tomo_searches_the_state_coefficients_once_per_direction_set(tmp_path, capsys, searches):
+    # one search serves both direction sets: the fan and the probes of the reconstruction
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the coverage gap of 4 directions
         code, _ = run(["tomo", "--state", "hermite:2", "--ndirs", "4", "--out", str(tmp_path)], capsys)
     assert code == 0
-    assert len(calls) == 2
+    assert searches == ["hermite:2"]
 
 
 @pytest.mark.parametrize("kind", ["rect", "smooth"])
-def test_tamper_searches_the_state_coefficients_once(tmp_path, capsys, monkeypatch, kind):
+def test_tamper_searches_the_state_coefficients_once(tmp_path, capsys, monkeypatch, searches, kind):
     # the axes and the probes are one direction set
     calls = []
     marginals = tomography.quantum_marginal
@@ -426,6 +432,26 @@ def test_tamper_searches_the_state_coefficients_once(tmp_path, capsys, monkeypat
     code, _ = run(["tamper", "--kind", kind, "--out", str(tmp_path)], capsys)
     assert code == 0
     assert calls == [8]
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["marginal", "--state", "hermite:2", "--theta", "0.3"],
+        ["weyl-check", "--state", "hermite:2", "--g", "gauss", "--dim", "20"],
+    ],
+    ids=["marginal", "weyl-check"],
+)
+def test_state_command_searches_the_state_coefficients_once(tmp_path, capsys, searches, argv):
+    code, _ = run(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert searches == ["hermite:2"]
+
+
+def test_verify_searches_each_state_once(searches):
+    assert verify.run_verify()["ok"]
+    assert sorted(searches) == ["gaussian(2.0,3.0,1.0)", "hermite:0", "hermite:1"]
 
 
 def test_cli_import_loads_no_scipy():

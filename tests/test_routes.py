@@ -15,7 +15,7 @@ import pytest
 import quasiprob.cli  # noqa: F401  (loads every layer)
 from quasiprob import tomography
 from quasiprob.numerics import Grid1D, SampledFunction1D, square_grid
-from quasiprob.states import DirectionAB, WaveFunction, gaussian_state, oscillator_eigenstate, sampled_state
+from quasiprob.states import FOCK_GRID, DirectionAB, WaveFunction, gaussian_state, oscillator_eigenstate, sampled_state
 from quasiprob.wigner import wigner_transform
 
 LAYERS = ("numerics", "states", "wigner", "tomography")
@@ -95,7 +95,7 @@ def test_marginal_of_quasi_never_evaluates_the_state(trace):
 @pytest.mark.parametrize("kind", ["closed", "file"])
 def test_quantum_marginal_reaches_no_distribution(trace, states, kind):
     for d in DIRECTIONS:
-        tomography.quantum_marginal(states[kind], [d], GRID.gx)
+        tomography.quantum_marginal(quasiprob.states.fock_expansion(states[kind]), [d], GRID.gx)
     seen = reached(trace.children)
     assert EVALUATE in seen
     assert not seen & {"wigner.wigner_transform", "tomography.marginal_of_quasi", "tomography.fhat_on_ray"}
@@ -103,8 +103,8 @@ def test_quantum_marginal_reaches_no_distribution(trace, states, kind):
 
 @pytest.mark.parametrize("zn", [48, 512, 4096])
 def test_quantum_marginal_work_does_not_grow_with_the_z_grid(trace, monkeypatch, states, zn):
-    # the route reads psi once per call, on the fixed coefficient grid, and
-    # never through the characteristic function
+    # the route reads psi once per search, on the fixed coefficient grid,
+    # and never through the characteristic function
     points = []
     evaluate = WaveFunction.__call__
 
@@ -116,12 +116,12 @@ def test_quantum_marginal_work_does_not_grow_with_the_z_grid(trace, monkeypatch,
     zgrid = Grid1D(-16.0, 16.0, zn)
     for d in DIRECTIONS:
         points.clear()
-        tomography.quantum_marginal(states["file"], [d], zgrid)
-        assert 0 < sum(points) <= 4096
+        tomography.quantum_marginal(quasiprob.states.fock_expansion(states["file"]), [d], zgrid)
+        assert sum(points) == FOCK_GRID.n
     points.clear()
-    tomography.quantum_marginal(states["file"], DIRECTIONS, zgrid)
-    assert 0 < sum(points) <= 4096
-    tomography.quantum_marginal(states["closed"], [DIRECTIONS[0]], zgrid)
+    tomography.quantum_marginal(quasiprob.states.fock_expansion(states["file"]), DIRECTIONS, zgrid)
+    assert sum(points) == FOCK_GRID.n
+    tomography.quantum_marginal(quasiprob.states.fock_expansion(states["closed"]), [DIRECTIONS[0]], zgrid)
     assert "wigner.characteristic_function" not in reached(trace.children)
 
 
@@ -138,15 +138,19 @@ def test_j2m_sides_share_only_ft_core(trace):
         assert lhs & rhs <= {"numerics.ft_core"}
 
 
-@pytest.mark.parametrize("kind, shared", [("closed", set()), ("file", {"numerics.sinc_sum"})])
-def test_direction_residual_routes_share_only_stateless_primitives(trace, states, kind, shared):
+@pytest.mark.parametrize("kind", ["closed", "file"])
+def test_direction_residual_routes_share_only_stateless_primitives(trace, states, kind):
+    # the state enters as its expansion, so below the residuals neither
+    # route evaluates psi and the two share no function
     psi = states[kind]
     f = wigner_transform(psi, GRID)
+    fock = quasiprob.states.fock_expansion(psi)
     trace.children.clear()
-    tomography.direction_residuals(f, psi, [0.3, 2.0])
+    tomography.direction_residuals(f, fock, [0.3, 2.0])
     assert [c.name for c in trace.children] == ["tomography.direction_residuals"]
     call = trace.children[0]
     assert {c.name for c in call.children} == {"tomography.marginal_of_quasi", "tomography.quantum_marginal"}
     quasi = reached(c for c in call.children if c.name == "tomography.marginal_of_quasi")
     state = reached(c for c in call.children if c.name == "tomography.quantum_marginal")
-    assert quasi & state == shared
+    assert quasi & state == set()
+    assert EVALUATE not in reached(trace.children)

@@ -3,13 +3,12 @@ import pytest
 
 import _oracles as oracle
 from quasiprob.numerics import PreconditionError, square_grid
-from quasiprob.states import gaussian_state, oscillator_eigenstate
+from quasiprob.states import FockExpansion, fock_expansion, gaussian_state, oscillator_eigenstate
 from quasiprob.weyl import (
     CHUNK,
     PRUNE,
     PhaseSpaceFunction,
     displacement,
-    fock_coefficients,
     interior_block,
     moyal_expectation_check,
     oscillator_matrices,
@@ -189,10 +188,10 @@ def test_displacement_split_check_runs():
 def test_fock_coefficients_of_coherent():
     # |<n|coh>|^2 is Poisson with mean (x0^2+p0^2)/2
     psi = gaussian_state(1.0, 0.5, 1.0)
-    c = fock_coefficients(psi, 24)
+    c = fock_expansion(psi).c
     mean = (1.0**2 + 0.5**2) / 2.0
     probs = np.abs(c) ** 2
-    n = np.arange(24)
+    n = np.arange(c.size)
     from math import factorial
 
     ref = np.exp(-mean) * mean**n / np.array([factorial(k) for k in n])
@@ -201,30 +200,64 @@ def test_fock_coefficients_of_coherent():
 
 def test_fock_coefficients_of_eigenstate():
     psi = oscillator_eigenstate(3)
-    c = fock_coefficients(psi, 12)
-    ref = np.zeros(12)
+    c = fock_expansion(psi).c
+    ref = np.zeros(c.size)
     ref[3] = 1.0
     assert np.max(np.abs(np.abs(c) ** 2 - ref)) < 1e-12
 
 
 def test_moyal_check_gauss_ground(ground):
     g = symbol("gauss")
-    lhs, rhs, diff = moyal_expectation_check(g, ground, weyl_quantize(g, N))
+    lhs, rhs, diff = moyal_expectation_check(g, ground, fock_expansion(ground), weyl_quantize(g, N))
     assert rhs == pytest.approx(oracle.MOYAL_GAUSS_GROUND, abs=1e-9)
     assert diff < 1e-5
 
 
 def test_moyal_check_xp_ground(ground):
     g = symbol("xp")
-    lhs, rhs, diff = moyal_expectation_check(g, ground, weyl_quantize(g, N))
+    lhs, rhs, diff = moyal_expectation_check(g, ground, fock_expansion(ground), weyl_quantize(g, N))
     assert abs(rhs) < 1e-9
     assert diff < 1e-6
 
 
 def test_moyal_check_rejects_fock_tail():
     # hermite:20 has no weight below N=16; the tail check fires before G is used
+    psi = oscillator_eigenstate(20)
     with pytest.raises(PreconditionError, match="tail"):
-        moyal_expectation_check(symbol("x"), oscillator_eigenstate(20), np.zeros((16, 16)))
+        moyal_expectation_check(symbol("x"), psi, fock_expansion(psi), np.zeros((16, 16)))
+
+
+def test_moyal_check_measures_the_tail_it_rejects(coherent23):
+    # coherent(2, 3) has Poisson weights of mean 6.5; the check sums the
+    # coefficients from N = 20 on, not 1 minus those below
+    mean = 6.5
+    term = np.exp(-mean) * mean**20 / np.prod(np.arange(1.0, 21.0))
+    poisson_tail = 0.0
+    for n in range(20, 200):
+        poisson_tail += term
+        term *= mean / (n + 1)
+    fock = fock_expansion(coherent23)
+    assert float(np.sum(np.abs(fock.c[20:]) ** 2)) == pytest.approx(poisson_tail, rel=1e-12)
+    with pytest.raises(PreconditionError, match=r"beyond N=20 is 1\.61e-05"):
+        moyal_expectation_check(symbol("x"), coherent23, fock, np.zeros((20, 20)))
+
+
+def test_moyal_check_pads_a_short_expansion(ground):
+    # hermite:0 needs 64 coefficients; an 80 x 80 matrix sees zeros past them
+    fock = fock_expansion(ground)
+    assert fock.c.size == 64
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
+    G = A + A.conj().T
+    g = symbol("x")
+    lhs, _, _ = moyal_expectation_check(g, ground, fock, G)
+    assert lhs == moyal_expectation_check(g, ground, fock, G[:64, :64])[0]
+
+
+def test_moyal_check_fails_closed_on_nan_coefficients(ground):
+    fock = FockExpansion(np.full(64, np.nan + 0j), 1.0)
+    with pytest.raises(PreconditionError, match="tail"):
+        moyal_expectation_check(symbol("x"), ground, fock, np.zeros((16, 16)))
 
 
 def test_unknown_symbol_rejected():
