@@ -130,27 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
         "dump_matrix": "also write the quantized operator as CSV",
         "tol": "flag the modification when the worst oblique residual exceeds this (default 1e-3)",
     }
-    help_txt = {
-        "wigner": "phase-space quasi-distribution of a state",
-        "charfn": "characteristic function <e^{-i(alpha X + beta P)}> on a grid",
-        "marginal": "measured distribution of cos(theta) X + sin(theta) P",
-        "tomo": "reconstruct the distribution from marginals and report the error",
-        "tamper": "modify a distribution without touching the x/p marginals, then catch it",
-        "weyl-check": "compare <g(X,P)> against the phase-space average of g",
-        "spin": "Feynman's spin-1/2 quasi-probabilities for a two-amplitude state",
-        "negativity": "total negative mass of an outcome list",
-        "verify": "run the full invariant suite (exit 0 only if every check passes)",
-    }
     for name, opts in SUB_OPTS.items():
-        sp = sub.add_parser(name, parents=[common], help=help_txt[name])
+        sp = sub.add_parser(name, parents=[common], help=HANDLERS[name].__doc__)
         for opt, conv, _default in opts:
             flag = "--" + opt.replace("_", "-")
             if conv is bool:
                 sp.add_argument(flag, action="store_true", default=argparse.SUPPRESS,
                                 help=flag_help.get(opt, ""))
             else:
-                argtype = str if conv in (str,) else conv
-                sp.add_argument(flag, type=argtype, default=argparse.SUPPRESS,
+                sp.add_argument(flag, type=conv, default=argparse.SUPPRESS,
                                 help=flag_help.get(opt, ""))
     return p
 
@@ -243,6 +231,7 @@ def _grid1(name: str, lo: float, hi: float, n: int) -> Grid1D:
 
 
 def cmd_wigner(o: dict) -> dict:
+    """phase-space quasi-distribution of a state"""
     psi = parse_state(o["state"], o["hbar"])
     pmin = o["pmin"] if o["pmin"] is not None else o["xmin"]
     pmax = o["pmax"] if o["pmax"] is not None else o["xmax"]
@@ -274,6 +263,7 @@ def _require_unit(what: str, value: float) -> None:
 
 
 def cmd_charfn(o: dict) -> dict:
+    """characteristic function <e^{-i(alpha X + beta P)}> on a grid"""
     psi = parse_state(o["state"], o["hbar"])
     g = _grid1("alpha", o["amin"], o["amax"], o["n"])
     origin = characteristic_function(psi, 0.0, 0.0)
@@ -297,6 +287,7 @@ def cmd_charfn(o: dict) -> dict:
 
 
 def cmd_marginal(o: dict) -> dict:
+    """measured distribution of cos(theta) X + sin(theta) P"""
     psi = parse_state(o["state"], o["hbar"])
     th = o["theta"]
     dvec = DirectionAB(float(np.cos(th)), float(np.sin(th)))
@@ -317,6 +308,7 @@ def cmd_marginal(o: dict) -> dict:
 
 
 def cmd_tomo(o: dict) -> dict:
+    """reconstruct the distribution from marginals and report the error"""
     psi = parse_state(o["state"], o["hbar"])
     ndirs = o["ndirs"]
     if ndirs < 2:
@@ -351,6 +343,7 @@ def cmd_tomo(o: dict) -> dict:
 
 
 def cmd_tamper(o: dict) -> dict:
+    """modify a distribution without touching the x/p marginals, then catch it"""
     psi = parse_state(o["state"], o["hbar"])
     grid = square_grid(-8.0, 8.0, 128)
     f = wigner_transform(psi, grid)
@@ -379,6 +372,7 @@ def cmd_tamper(o: dict) -> dict:
 
 
 def cmd_weyl_check(o: dict) -> dict:
+    """compare <g(X,P)> against the phase-space average of g"""
     psi = parse_state(o["state"], o["hbar"])
     g = symbol(o["g"])
     M = weyl_quantize(g, o["dim"], hbar=psi.hbar)
@@ -400,6 +394,7 @@ def cmd_weyl_check(o: dict) -> dict:
 
 
 def cmd_spin(o: dict) -> dict:
+    """Feynman's spin-1/2 quasi-probabilities for a two-amplitude state"""
     st = parse_spin_state(o["state"])
     tspec = o["t"]
     if tspec not in ("feynman", "neg-feynman"):
@@ -422,9 +417,8 @@ def cmd_spin(o: dict) -> dict:
 
 
 def cmd_negativity(o: dict) -> dict:
+    """total negative mass of an outcome list"""
     vals = _finite_numbers(o["values"].split(","), float, f"--values {o['values']!r}")
-    if not vals:
-        raise PreconditionError("--values: empty list")
     return {
         "kind": "negativity-report",
         "source": "discrete",
@@ -434,6 +428,7 @@ def cmd_negativity(o: dict) -> dict:
 
 
 def cmd_verify(o: dict) -> dict:
+    """run the full invariant suite (exit 0 only if every check passes)"""
     report = run_verify()
     print(format_report(report), file=sys.stderr)
     # wall-clock measurements stay on stderr: the artifact must be
@@ -471,10 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (PreconditionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:

@@ -454,14 +454,63 @@ def test_verify_searches_each_state_once(searches):
     assert sorted(searches) == ["gaussian(2.0,3.0,1.0)", "hermite:0", "hermite:1"]
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy serves the tests as a reference
+def _loaded_after_import(module, package):
+    """Sorted names of package's modules loaded by importing module in a fresh interpreter."""
     src = str(Path(quasiprob.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, quasiprob.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as a reference
+    assert _loaded_after_import("quasiprob.cli", "scipy") == "[]\n"
+
+
+def test_numerics_import_loads_no_other_layer():
+    # the package namespace is empty, so a layer loads only what it imports
+    assert _loaded_after_import("quasiprob.numerics", "quasiprob") == "['quasiprob', 'quasiprob.numerics']\n"
+
+
+def test_subcommand_help_lines(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand
+    text = cli.build_parser().format_help()
+    for line in [
+        "wigner              phase-space quasi-distribution of a state",
+        "charfn              characteristic function <e^{-i(alpha X + beta P)}> on a grid",
+        "marginal            measured distribution of cos(theta) X + sin(theta) P",
+        "tomo                reconstruct the distribution from marginals and report the error",
+        "tamper              modify a distribution without touching the x/p marginals, then catch it",
+        "weyl-check          compare <g(X,P)> against the phase-space average of g",
+        "spin                Feynman's spin-1/2 quasi-probabilities for a two-amplitude state",
+        "negativity          total negative mass of an outcome list",
+        "verify              run the full invariant suite (exit 0 only if every check passes)",
+    ]:
+        assert "\n    " + line + "\n" in text
+
+
+@pytest.mark.parametrize(
+    "argv, out_is_file",
+    [
+        (["wigner", "--state", "hermite:0"], True),
+        (["negativity", "--values", ""], False),
+        (["negativity", "--values", ","], False),
+    ],
+)
+def test_unusable_out_or_values_exits_1_with_one_line(tmp_path, capsys, argv, out_is_file):
+    out = tmp_path / "out"
+    if out_is_file:
+        out.write_text("kept\n")
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not list(tmp_path.rglob("*.json"))
+    if out_is_file:
+        assert out.read_text() == "kept\n"
 
 
 def test_negativity_requires_exactly_one_source(capsys, tmp_path):
