@@ -173,11 +173,17 @@ def run_verify() -> dict:
     ref = (Xm @ Pm + Pm @ Xm) / 2.0
     s.le("weyl-xp-interior-dev", float(np.abs(interior_block(G - ref)).max()), 1e-6)
 
-    # matrix-side characteristic value against the closed form
-    D = displacement(-1.0, -1.0, 64)
-    e0 = np.zeros(64)
-    e0[0] = 1.0
-    s.le("displacement-charfn-dev", float(abs(e0 @ (D @ e0) - np.exp(-0.5))), 1e-6)
+    # <e^{-i(aX+bP)}> two ways at hbar != 1: sandwiched between the state's
+    # oscillator coefficients, and by the split-form quadrature
+    dev = 0.0
+    for hbar in (0.5, 2.0):
+        for psi in (oscillator_eigenstate(3, hbar), gaussian_state(1.0, -1.5, float(np.sqrt(hbar)), hbar)):
+            c = fock_expansion(psi).c[:64]
+            for a in (-1.0, 0.5, 2.0):
+                for b in (-1.5, 1.0):
+                    matrix_side = np.conj(c) @ displacement(-a, -b, c.size, hbar) @ c
+                    dev = max(dev, abs(matrix_side - characteristic_function(psi, a, b)))
+    s.le("displacement-charfn-dev", float(dev), 1e-12)
 
     # expectation equality for six symbols and three states
     table = moyal_table(64, [("ground", psi0, fock0), ("excited", psi1, fock1), ("coherent(2,3)", coh, fockc)])

@@ -12,20 +12,25 @@ the quantized matrix grows linearly in eps while the quadrature's rounding
 floor grows as eps shrinks (the weights scale like 1/eps); EPS = 1e-9 sits at
 the measured optimum, giving interior-block errors ~3e-7 at N = 32.
 
-Each quadrature node needs e^{i(aX+bP)}.  In polar form (a, b) =
-r (cos phi, sin phi) the truncated pair satisfies the exact rotation identity
-cos(phi) X + sin(phi) P = U_phi X U_phi^dag with U_phi = diag(e^{i k phi}),
-so a single eigendecomposition X = V diag(lam) V^T serves every node:
-e^{i(aX+bP)} = U_phi V e^{i r lam} V^T U_phi^dag.  Summed over the nodes this
-is the displacement-sum identity G_jk = sum_l V_jl V_kl M[j-k, l], where
-M[d, l] = sum_nodes w e^{i d phi} e^{i r lam_l} is a single matrix product.
-The rows d < 0 of e^{i d phi} are the conjugates of the rows d > 0 and the
-row d = 0 is 1, so a node costs 2N-1 complex exponentials: N-1 for
-e^{i d phi}, d = 1 .. N-1, and N for e^{i r lam}.
+Each quadrature node needs e^{i(aX+bP)}.  Its matrix elements are closed
+form (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)): with (a, b) =
+r (cos phi, sin phi) and t = hbar r^2 / 2, for m = n + d >= n,
+
+    <m| e^{i(aX+bP)} |n> = i^d e^{i d phi} l_n^(d)(t),
+    l_n^(d)(t) = sqrt(n!/(n+d)!) t^{d/2} e^{-t/2} L_n^(d)(t),
+
+with L_n^(d) the generalized Laguerre polynomial, and the rows m < n are
+(-1)^d times the conjugates.  These are the elements of the untruncated
+operator, so the N x N matrix is its compression P_N e^{i(aX+bP)} P_N with no
+error at the basis edge.  A node enters only through its radius and e^{i d phi},
+so the quadrature sums the phases per radius first:
+G_{n+d,n} = i^d sum_R l_n^(d)(t_R) S_d(R), S_d(R) = sum_{nodes at R} w e^{i d phi},
+and a real symbol gives a Hermitian G.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -49,11 +54,8 @@ POLYNOMIAL_GRID = square_grid(-np.sqrt(46.0 / EPS), np.sqrt(46.0 / EPS), 128)
 #: Quadrature nodes with |ghat| below PRUNE * max|ghat| are dropped.
 PRUNE = 1e-15
 
-#: Quadrature nodes per matrix-product chunk in weyl_quantize.
+#: Radii per block of the Laguerre table in weyl_quantize.
 CHUNK = 512
-
-#: Largest interior residual the split cross-check in displacement accepts.
-DISPLACEMENT_TOL = 1e-6
 
 #: Phase-space grid of the quadrature side of moyal_expectation_check.
 MOYAL_GRID = square_grid(-12.0, 12.0, 192)
@@ -122,50 +124,64 @@ def oscillator_matrices(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarr
     return X, P
 
 
-def _expi(H: np.ndarray) -> np.ndarray:
-    """e^{iH} for Hermitian H, from its eigendecomposition H = V diag(lam) V^dag."""
-    lam, V = np.linalg.eigh(H)
-    return (V * np.exp(1j * lam)) @ V.conj().T
+def _laguerre_rows(N: int, t: np.ndarray):
+    """Yield l_n^(d)(t) for n = 0 .. N-1; row n is an (N-n, t.size) array
+    over d = 0 .. N-1-n, the orders that still fit in the N x N matrix.
 
-
-def displacement(alpha: float, beta: float, N: int, hbar: float = 1.0, check: bool = True) -> np.ndarray:
-    """e^{i(alpha X + beta P)} as an N x N matrix, exponentiated in the
-    eigenbasis of the Hermitian generator alpha X + beta P.
-
-    Cross-checked against the scalar-commutator split
-    e^{i alpha X} e^{i beta P} e^{+i alpha beta hbar/2} on the interior block
-    (indices < N/2), where the two routes differ only by truncation leakage;
-    a residual above DISPLACEMENT_TOL means N is too small for this (alpha, beta).
+    The normalized three-term recurrence in n,
+    l_{n+1} = [(2n+1+d-t) l_n - sqrt(n(n+d)) l_{n-1}] / sqrt((n+1)(n+1+d)),
+    runs for every d at once from l_0^(d) = t^{d/2} e^{-t/2} / sqrt(d!),
+    taken in log form so that no factor overflows at large t.
     """
-    X, P = oscillator_matrices(N, hbar)
-    D = _expi(alpha * X + beta * P)
-    if check:
-        split = _expi(alpha * X) @ _expi(beta * P) * np.exp(1j * alpha * beta * hbar / 2)
-        h = N // 2
-        resid = float(np.abs((D - split)[:h, :h]).max())
-        if resid > DISPLACEMENT_TOL:
-            raise PreconditionError(
-                f"displacement({alpha}, {beta}): interior cross-check residual "
-                f"{resid:.2e} above {DISPLACEMENT_TOL:.0e}; increase N"
-            )
+    d = np.arange(N, dtype=float)[:, None]
+    logt = np.log(t, out=np.full(t.shape, -np.inf), where=t > 0)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(1, N)])[:, None]
+    cur = np.empty((N, t.size))
+    cur[0] = np.exp(-t / 2)  # d = 0 apart: 0 * log 0 would be NaN at t = 0
+    cur[1:] = np.exp(d[1:] / 2 * logt - t / 2 - log_fact / 2)
+    prev = np.zeros_like(cur)
+    for n in range(N):
+        yield cur
+        k = N - n - 1
+        dk = d[:k]
+        nxt = (2 * n + 1 + dk) - t
+        nxt *= cur[:k]
+        nxt -= np.sqrt(n * (n + dk)) * prev[:k]
+        nxt /= np.sqrt((n + 1) * (n + 1 + dk))
+        cur, prev = nxt, cur[:k]
+
+
+def displacement(alpha: float, beta: float, N: int, hbar: float = 1.0) -> np.ndarray:
+    """e^{i(alpha X + beta P)} compressed to the first N oscillator states.
+
+    Entry (n+d, n) is i^d e^{i d phi} l_n^(d)(t) with alpha + i beta =
+    r e^{i phi} and t = hbar r^2 / 2; entry (n, n+d) is (-1)^d times its
+    conjugate (see the module docstring).  Every entry is the untruncated
+    operator's: N only sets which entries are kept.
+    """
+    r = float(np.hypot(alpha, beta))
+    step = 1j * complex(alpha, beta) / r if r > 0 else 1.0  # i e^{i phi}
+    D = np.zeros((N, N), dtype=complex)
+    for n, row in enumerate(_laguerre_rows(N, np.array([hbar * r * r / 2]))):
+        d = np.arange(N - n)
+        v = step**d * row[:, 0]
+        D[n + d, n] = v
+        D[n, n + d] = (-1.0) ** d * v.conj()
     return D
 
 
-def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarray:
-    """Quantize one symbol on its quadrature grid by the displacement-sum identity.
+def _ring_sums(g: PhaseSpaceFunction, N: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """The distinct lattice radii R = i^2 + j^2 of g's kept quadrature nodes,
+    the dual spacing h, and i^d S_d(R) for d < N as (N, 2, len(R)) (re, im).
 
-    Nodes of the dual lattice with |ghat| below PRUNE * max|ghat| are dropped.
-    With X = V diag(lam) V^T, node (r, phi) of weight w contributes
-    w e^{i(j-k) phi} sum_l V_jl V_kl e^{i r lam_l} to entry (j, k), so
-    G_jk = sum_l V_jl V_kl M[j-k, l] with M = (e^{i d phi} w) @ e^{i r lam},
-    one (2N-1) x nodes by nodes x N product accumulated CHUNK nodes at a time.
-    Each chunk exponentiates only the rows d = 1 .. N-1 of the left factor
-    and fills d < 0 by conjugation, 2N-1 exponentials per node in all.
-    Results are bit-reproducible for a fixed BLAS build and thread count.
+    Nodes with |ghat| below PRUNE * max|ghat| are dropped.  On the square grid
+    e^{i phi} = (i + ij)/|i + ij|, so the phases come from repeated
+    multiplication and the sums from np.bincount, with no exponential per node.
     """
     dual = g.quad_grid.dual()
-    A, B = dual.meshgrid()
-    gh = g.transform(A, B)
+    if dual.gx != dual.gp:
+        raise PreconditionError(f"weyl_quantize[{g.label}] needs a square quadrature grid")
+    gh = g.transform(*dual.meshgrid())
     mags = np.abs(gh)
     peak = mags.max()
     edge = max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max())
@@ -173,29 +189,47 @@ def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarra
         warnings.warn(
             f"weyl_quantize[{g.label}]: ghat not decayed on the dual window "
             f"(edge/max = {edge / peak:.2e}); enlarge the grid",
-            stacklevel=2,
+            stacklevel=3,
         )
     keep = mags > PRUNE * peak
-    w = gh[keep] * (dual.gx.spacing * dual.gp.spacing / (2 * np.pi))
-    r = np.hypot(A[keep], B[keep])
-    phi = np.arctan2(B[keep], A[keep])
+    h = dual.gx.spacing
+    wp = gh[keep] * (h * h / (2 * np.pi)) + 0j
+    gh = mags = None  # release the grid-sized arrays before the per-node ones
+    i, j = np.array(np.nonzero(keep)) - dual.gx.n // 2  # the dual lattice holds 0 at n // 2
+    rad, inv = np.unique(i * i + j * j, return_inverse=True)
+    z = i + 1j * j
+    step = np.divide(1j * z, np.abs(z), out=np.ones_like(z), where=z != 0)  # i e^{i phi}
+    S = np.empty((N, 2, rad.size))
+    for d in range(N):
+        S[d, 0] = np.bincount(inv, wp.real, rad.size)
+        S[d, 1] = np.bincount(inv, wp.imag, rad.size)
+        wp *= step
+    return rad, h, S
 
-    Xm, _ = oscillator_matrices(N, hbar)
-    lam, V = np.linalg.eigh(Xm.real)
-    d = np.arange(1, N)
-    M = np.zeros((2 * N - 1, N), dtype=complex)
-    left = np.empty((2 * N - 1, CHUNK), dtype=complex)
-    for i0 in range(0, r.size, CHUNK):
-        c = slice(i0, i0 + CHUNK)
-        L = left[:, : phi[c].size]
-        np.exp(1j * np.outer(d, phi[c]), out=L[N:])  # rows d = 1 .. N-1
-        np.conjugate(L[: N - 1 : -1], out=L[: N - 1])  # rows d = 1-N .. -1
-        L[N - 1] = 1.0  # row d = 0
-        L *= w[c]
-        M += L @ np.exp(1j * np.outer(r[c], lam))
-    L = left = None  # release the buffer before the N^3 gather below sets the peak
-    k = np.arange(N)
-    return np.einsum("jl,kl,jkl->jk", V, V, M[k[:, None] - k + N - 1])
+
+def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarray:
+    """Quantize one symbol on its quadrature grid with the closed-form
+    displacement elements, summed per lattice radius (module docstring).
+
+    t_R = hbar h^2 R / 2.  The radii are contracted with numpy reductions,
+    CHUNK at a time, and the rows above the diagonal are the conjugates, so G
+    is Hermitian.  With no BLAS product, the bits do not depend on the BLAS
+    thread count.
+    """
+    if N < 2:
+        raise PreconditionError(f"truncation needs N >= 2, got {N}")
+    rad, h, S = _ring_sums(g, N)
+    t = hbar * h * h / 2 * rad
+    T = np.zeros((N, N, 2))  # T[n, d] = G_{n+d,n} as (re, im)
+    for r0 in range(0, rad.size, CHUNK):
+        c = slice(r0, r0 + CHUNK)
+        for n, row in enumerate(_laguerre_rows(N, t[c])):
+            T[n, : N - n] += (row[:, None, :] * S[: N - n, :, c]).sum(axis=2)
+    m, n = np.tril_indices(N)
+    L = np.zeros((N, N), dtype=complex)
+    L[m, n] = T.view(complex)[n, m - n, 0]
+    L[np.diag_indices(N)] /= 2  # so the diagonal of L + L^dag is exactly real
+    return L + L.conj().T
 
 
 def interior_block(M: np.ndarray) -> np.ndarray:

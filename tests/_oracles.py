@@ -178,29 +178,6 @@ def matrix_txt_text(values):
     return "".join(" ".join(map(repr, row.tolist())) + "\n" for row in np.atleast_2d(np.asarray(values, dtype=float)))
 
 
-# Weyl quantization with the dense left factor: every row d = 1-N .. N-1 of
-# e^{i d phi} from np.exp, with the same pruning, chunking and accumulation
-# order as quasiprob.weyl.weyl_quantize (prune and chunk are its PRUNE and
-# CHUNK), so the two agree bit for bit.
-def weyl_quantize_dense(g, N, hbar, prune, chunk):
-    dual = g.quad_grid.dual()
-    A, B = dual.meshgrid()
-    gh = g.transform(A, B)
-    keep = np.abs(gh) > prune * np.abs(gh).max()
-    w = gh[keep] * (dual.gx.spacing * dual.gp.spacing / (2 * np.pi))
-    r = np.hypot(A[keep], B[keep])
-    phi = np.arctan2(B[keep], A[keep])
-    rt = np.sqrt(np.arange(1, N) * hbar / 2.0)
-    lam, V = np.linalg.eigh(np.diag(rt, 1) + np.diag(rt, -1))
-    d = np.arange(1 - N, N)
-    M = np.zeros((2 * N - 1, N), dtype=complex)
-    for i0 in range(0, r.size, chunk):
-        c = slice(i0, i0 + chunk)
-        M += (np.exp(1j * np.outer(d, phi[c])) * w[c]) @ np.exp(1j * np.outer(r[c], lam))
-    k = np.arange(N)
-    return np.einsum("jl,kl,jkl->jk", V, V, M[k[:, None] - k + N - 1])
-
-
 # Weyl operator of e^{-x^2-p^2} at any hbar.  The operator l^{a^dag a} has
 # Weyl symbol (2/(1+l)) e^{-((1-l)/(1+l)) (x^2+p^2)/hbar}; the exponent is
 # -(x^2+p^2) at l = (1-hbar)/(1+hbar), where 2/(1+l) = 1+hbar.  So the

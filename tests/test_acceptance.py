@@ -82,7 +82,7 @@ def test_criterion_03_characteristic_closed_form_and_phase(ground):
 
     # off-center coherent state: the cross phase is checked against the
     # closed form and against an operator-side oracle that never splits
-    # the exponential (eigenbasis rotation in a Fock truncation)
+    # the exponential (its closed-form matrix elements in the Fock basis)
     psi = gaussian_state(1.0, -1.0, 1.0)
     dev1 = float(np.max(np.abs(characteristic_function(psi, A, B) - oracle.coherent_cf(A, B, 1.0, -1.0))))
     assert dev1 < 1e-8, f"off-center probe dev {dev1:.3e} >= 1e-8"
@@ -92,7 +92,7 @@ def test_criterion_03_characteristic_closed_form_and_phase(ground):
     for alpha in (-1.0, 0.5, 2.0):
         for beta in (-1.5, 1.0):
             # e^{-i(aX+bP)} is the displacement with both signs flipped
-            D = displacement(-alpha, -beta, 64, check=False)
+            D = displacement(-alpha, -beta, 64)
             matrix_side = complex(np.conj(c) @ D @ c)
             integral_side = complex(characteristic_function(psi, alpha, beta))
             dev2 = max(dev2, abs(matrix_side - integral_side))

@@ -121,6 +121,32 @@ def test_weyl_check_subcommand(tmp_path, capsys):
     assert rep["diff"] < 1e-5
 
 
+@pytest.mark.parametrize("state,dim", [("hermite:3", "16"), ("hermite:3", "8"), ("hermite:2", "8")])
+def test_weyl_check_is_exact_once_the_state_fits(tmp_path, capsys, state, dim):
+    # <n| e^{-x^2-p^2} |n> quantizes to ((1-hbar)/(1+hbar))^n / (1+hbar), which
+    # is 0 at hbar = 1; with the exact matrix elements a state inside the
+    # basis sees no truncation error, even at the smallest --dim it fits in
+    code, rep = run(["weyl-check", "--g", "gauss", "--state", state, "--dim", dim, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert abs(rep["lhs"]) < 1e-12
+
+
+@pytest.mark.parametrize("g,dim", [("gauss", "64"), ("x2p2", "20")])
+def test_weyl_matrix_bits_do_not_depend_on_blas_threads(tmp_path, g, dim):
+    src = str(Path(quasiprob.__file__).parents[1])
+    dumps = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["weyl-check", "--g", g, "--state", "hermite:0", "--dim", dim, "--dump-matrix", "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "quasiprob", *argv], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        dumps.append((out / "weyl_matrix.csv").read_bytes())
+    assert dumps[0] == dumps[1]
+
+
 def test_tamper_subcommand_flags_oblique(tmp_path, capsys):
     code, rep = run(["tamper", "--kind", "smooth", "--c", "0.1", "--out", str(tmp_path)], capsys)
     assert code == 0
@@ -197,8 +223,7 @@ def test_byte_identical_rerun(tmp_path, capsys):
     ja = json.loads((tmp_path / "a" / "wigner.json").read_text())
     jb = json.loads((tmp_path / "b" / "wigner.json").read_text())
     assert ja == jb
-    # at a fixed BLAS thread count the quantization's reduction order is fixed,
-    # so reruns match bit for bit
+    # the quantization's reduction order is fixed, so reruns match bit for bit
     args = ["weyl-check", "--g", "gauss", "--state", "hermite:0", "--dim", "20", "--dump-matrix"]
     run(args + ["--out", str(tmp_path / "c")], capsys)
     run(args + ["--out", str(tmp_path / "d")], capsys)
@@ -450,8 +475,18 @@ def test_state_command_searches_the_state_coefficients_once(tmp_path, capsys, se
 
 
 def test_verify_searches_each_state_once(searches):
+    # hermite:3 and the two coherent states serve the displacement check,
+    # hermite:3 once at each of hbar = 0.5 and 2
     assert verify.run_verify()["ok"]
-    assert sorted(searches) == ["gaussian(2.0,3.0,1.0)", "hermite:0", "hermite:1"]
+    assert sorted(searches) == [
+        "gaussian(1.0,-1.5,0.7071067811865476)",
+        "gaussian(1.0,-1.5,1.4142135623730951)",
+        "gaussian(2.0,3.0,1.0)",
+        "hermite:0",
+        "hermite:1",
+        "hermite:3",
+        "hermite:3",
+    ]
 
 
 def _loaded_after_import(module, package):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from quasiprob.numerics import PreconditionError, square_grid
+from quasiprob.numerics import Grid1D, Grid2D, PreconditionError, square_grid
 from quasiprob.states import FockExpansion, fock_expansion, gaussian_state, oscillator_eigenstate
 from quasiprob.weyl import (
-    CHUNK,
     PRUNE,
     PhaseSpaceFunction,
+    _ring_sums,
     displacement,
     interior_block,
     moyal_expectation_check,
@@ -60,21 +60,20 @@ def test_quantize_xp_is_symmetrized_product():
 
 
 def test_quantize_gauss_is_ground_projector():
-    # e^{-x^2-p^2} maps to (1/2)|0><0|; the identity is near machine
-    # precision on low-index blocks and degrades toward the truncation
-    # corner, which is why comparisons stay on interior blocks
+    # e^{-x^2-p^2} maps to (1/2)|0><0|, and the compression of that operator
+    # is exact up to the basis edge
     M = weyl_quantize(symbol("gauss"), N)
     e0 = np.zeros(N)
     e0[0] = 1.0
     ref = 0.5 * np.outer(e0, e0)
-    assert abs(complex(M[0, 0]) - 0.5) < 1e-12
-    assert np.max(np.abs(M[:12, :12] - ref[:12, :12])) < 1e-9
+    assert abs(complex(M[0, 0]) - 0.5) < 1e-15
+    assert np.max(np.abs(M - ref)) < 1e-14
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_quantize_matches_direct_displacement_sum(hbar):
-    # the full matrix, truncation corner included, against the quadrature
-    # summed node by node with displacement exponentiating aX+bP directly
+    # the full matrix against the quadrature summed node by node with
+    # displacement: checks the grouping by radius and the phases
     gauss = symbol("gauss")
     g = PhaseSpaceFunction("gauss", gauss.evaluate, gauss.transform, square_grid(-8.0, 8.0, 64))
     n = 12
@@ -85,7 +84,7 @@ def test_quantize_matches_direct_displacement_sum(hbar):
     assert keep.sum() == 2801
     cell = dual.gx.spacing * dual.gp.spacing / (2 * np.pi)
     ref = sum(
-        w * cell * displacement(a, b, n, hbar, check=False)
+        w * cell * displacement(a, b, n, hbar)
         for a, b, w in zip(A[keep], B[keep], gh[keep])
     )
     assert np.max(np.abs(weyl_quantize(g, n, hbar=hbar) - ref)) < 1e-13
@@ -94,40 +93,70 @@ def test_quantize_matches_direct_displacement_sum(hbar):
 SYMBOLS = ("x", "p", "x2", "p2", "xp", "x2p2", "gauss")
 
 
+def exact_compression(name, n, hbar):
+    """Top-left n x n block of the symbol's Weyl operator: the closed-form
+    diagonal for gauss, the same polynomial in X and P built at n + 4 (so
+    that no product reaches the truncated corner) for the others."""
+    if name == "gauss":
+        return np.diag(oracle.gauss_weyl_diagonal(hbar, n))
+    X, P = oscillator_matrices(n + 4, hbar)
+    ops = {"x": X, "p": P, "x2": X @ X, "p2": P @ P, "xp": (X @ P + P @ X) / 2, "x2p2": X @ X + P @ P}
+    return ops[name][:n, :n]
+
+
 @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("n", [2, 20, 33])
+@pytest.mark.parametrize("n", [2, 20, 33, 64])
 @pytest.mark.parametrize("name", SYMBOLS)
 def test_quantize_is_bitwise_the_dense_formula(name, n, hbar):
-    # the conjugated d < 0 rows of the left factor change no bit of the
-    # result; n = 2 has a single row d = 1, and 33 is odd
-    g = symbol(name)
-    a = weyl_quantize(g, n, hbar)
-    b = oracle.weyl_quantize_dense(g, n, hbar, PRUNE, CHUNK)
-    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    # bitwise Hermitian, and over the whole matrix the dense exact
+    # compression: to rounding for gauss, to the EPS damping bias for the
+    # polynomials; n = 2 has a single off-diagonal, and 33 is odd
+    M = weyl_quantize(symbol(name), n, hbar)
+    assert np.array_equal(M, M.conj().T)
+    tol = 1e-14 if name == "gauss" else 5e-5 if n < 64 else 1e-4
+    assert np.max(np.abs(M - exact_compression(name, n, hbar))) < tol
 
 
 def test_quantize_exponential_count(monkeypatch):
-    # per node: N-1 exponentials for e^{i d phi}, d = 1 .. N-1, and N for
-    # e^{i r lam}; the rows d <= 0 are never exponentiated
+    # the gauss nodes group into 2244 lattice radii; np.exp runs on ghat over
+    # the 192^2 grid and on one Laguerre start per (d, radius), never on a
+    # complex argument
     g = symbol("gauss")
     dual = g.quad_grid.dual()
     gh = g.transform(*dual.meshgrid())
     nodes = int(np.count_nonzero(np.abs(gh) > PRUNE * np.abs(gh).max()))
     assert nodes == 25289
+    n = 20
+    rad, _, S = _ring_sums(g, n)
+    assert rad.size == 2244
+    assert S.shape == (n, 2, 2244)
     exp = np.exp
-    count = 0
+    count = {"real": 0, "complex": 0}
 
     def counting_exp(x, *args, **kwargs):
-        nonlocal count
-        if np.iscomplexobj(x):
-            count += np.size(x)
+        count["complex" if np.iscomplexobj(x) else "real"] += np.size(x)
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counting_exp)
-    n = 20
     weyl_quantize(g, n)
-    assert count == (2 * n - 1) * nodes == 986_271
+    assert count == {"real": 192**2 + n * 2244, "complex": 0}
 
+
+@pytest.mark.parametrize("hbar", [1e-6, 1e6])
+@pytest.mark.parametrize("name", ["gauss", "x2p2"])
+def test_quantize_is_finite_at_extreme_hbar(name, hbar):
+    # t = hbar r^2 / 2 spans ~1e-11 .. 1e8 here; the log-form Laguerre start
+    # neither overflows nor warns (RuntimeWarning is an error in this suite),
+    # including 0 * log 0 at the origin node
+    assert np.isfinite(weyl_quantize(symbol(name), 20, hbar)).all()
+
+
+def test_quantize_rejects_a_non_square_grid():
+    # grouping the nodes by i^2 + j^2 needs one dual spacing on both axes
+    gauss = symbol("gauss")
+    grid = Grid2D(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 32))
+    with pytest.raises(PreconditionError, match="square"):
+        weyl_quantize(PhaseSpaceFunction("gauss", gauss.evaluate, gauss.transform, grid), 4)
 
 
 def test_quantize_zero_symbol_is_zero_matrix():
@@ -138,20 +167,19 @@ def test_quantize_zero_symbol_is_zero_matrix():
 @pytest.mark.parametrize("hbar", [0.5, 2.0])
 def test_quantize_gauss_closed_form_at_hbar(hbar):
     # e^{-x^2-p^2} maps to (1/(1+hbar)) sum_n ((1-hbar)/(1+hbar))^n |n><n|;
-    # a power of hbar wrong in oscillator_matrices misses it by > 0.1
+    # a power of hbar wrong in t = hbar r^2 / 2 misses it by > 0.1
     M = weyl_quantize(symbol("gauss"), 64, hbar)
     ref = np.diag(oracle.gauss_weyl_diagonal(hbar, 8))
     assert np.max(np.abs(M[:8, :8] - ref)) < 1e-10
 
 def test_trace_identity():
-    # Tr W[g] = (1/2 pi hbar) integral g; the partial trace over the
-    # lowest modes carries the whole answer for this symbol, and the
-    # interior trace picks up only truncation-corner noise beyond it
+    # Tr W[g] = (1/2 pi hbar) integral g; at hbar = 1 this symbol's operator
+    # is (1/2)|0><0|, so every leading block carries the whole trace
     g = symbol("gauss")
     M = weyl_quantize(g, N)
     area = np.pi  # integral of e^{-x^2-p^2}
-    assert complex(np.trace(M[:12, :12])).real == pytest.approx(area / (2 * np.pi), abs=1e-9)
-    assert complex(np.trace(interior_block(M))).real == pytest.approx(area / (2 * np.pi), abs=1e-4)
+    assert complex(np.trace(M[:12, :12])).real == pytest.approx(area / (2 * np.pi), abs=1e-14)
+    assert complex(np.trace(M)).real == pytest.approx(area / (2 * np.pi), abs=1e-14)
 
 
 def test_displacement_ground_expectation():
@@ -171,18 +199,13 @@ def test_displacement_is_unitary_inside():
     [(-1.0, -1.0, 1.0, 64), (0.7, -1.3, 1.0, 32), (2.0, 0.5, 0.5, 48), (-0.3, 1.7, 2.0, 40)],
 )
 def test_displacement_matches_scipy_expm(alpha, beta, hbar, n):
-    # scipy's Pade exponential is the reference for the eigendecomposition route
+    # scipy's Pade exponential of the generator truncated at n + 40 is the
+    # compression of the true operator to rounding on its top-left n x n block
     from scipy.linalg import expm
 
-    X, P = oscillator_matrices(n, hbar)
-    ref = expm(1j * (alpha * X + beta * P))
-    assert np.max(np.abs(displacement(alpha, beta, n, hbar, check=False) - ref)) < 1e-12
-
-
-def test_displacement_split_check_runs():
-    # the cross-check against the ordered-product construction is on by
-    # default and must not trip for moderate arguments
-    displacement(1.0, 1.0, 64, check=True)
+    X, P = oscillator_matrices(n + 40, hbar)
+    ref = expm(1j * (alpha * X + beta * P))[:n, :n]
+    assert np.max(np.abs(displacement(alpha, beta, n, hbar) - ref)) < 1e-12
 
 
 def test_fock_coefficients_of_coherent():
