@@ -26,7 +26,9 @@ SQRT2PI = np.sqrt(2.0 * np.pi)
 # |f| at the grid edge above this fraction of max|f| breaks the decay contract
 BOUNDARY_DECAY = 1e-12
 
-#: Points per sinc_sum call in its callers, so the kernel's working set stays in L2.
+#: Points per block of the blocked loops, so each working set stays small and
+#: sinc_sum's stays in L2: sampled_state's evaluator, marginal_of_quasi,
+#: wigner_transform, characteristic_function and fock_expansion.
 SINC_BLOCK = 16384
 
 

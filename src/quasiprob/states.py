@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -56,21 +57,25 @@ def gaussian_state(x0: float, p0: float, sigma: float, hbar: float = 1.0) -> Wav
     return WaveFunction(evaluate, hbar, f"gaussian({x0},{p0},{sigma})")
 
 
-def hermite_functions(nmax: int, u: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite functions h_0..h_nmax at u, shape (nmax+1,) + u.shape.
-
-    Stabilized three-term recurrence on the functions themselves (not the
-    polynomials), so no overflow for moderate n:
+def _hermite_rows(u: np.ndarray):
+    """h_0, h_1, ... at u, without end, by the stabilized recurrence on the
+    functions (not the polynomials), so no overflow for moderate n:
         h_{n+1} = sqrt(2/(n+1)) u h_n - sqrt(n/(n+1)) h_{n-1}
-    """
+    It holds the last two rows, so the caller must not write into one."""
+    prev = np.pi**-0.25 * np.exp(-(u**2) / 2.0)
+    yield prev
+    row = np.sqrt(2.0) * u * prev
+    n = 1
+    while True:
+        yield row
+        prev, row = row, np.sqrt(2.0 / (n + 1)) * u * row - np.sqrt(n / (n + 1.0)) * prev
+        n += 1
+
+
+def hermite_functions(nmax: int, u: np.ndarray) -> np.ndarray:
+    """Orthonormal Hermite functions h_0..h_nmax at u, shape (nmax+1,) + u.shape."""
     u = np.asarray(u, dtype=float)
-    out = np.empty((nmax + 1,) + u.shape)
-    out[0] = np.pi**-0.25 * np.exp(-(u**2) / 2.0)
-    if nmax >= 1:
-        out[1] = np.sqrt(2.0) * u * out[0]
-    for n in range(1, nmax):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * u * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
-    return out
+    return np.fromiter(islice(_hermite_rows(u), nmax + 1), dtype=(float, u.shape), count=nmax + 1)
 
 
 def oscillator_eigenstate(n: int, hbar: float = 1.0) -> WaveFunction:
@@ -80,7 +85,7 @@ def oscillator_eigenstate(n: int, hbar: float = 1.0) -> WaveFunction:
 
     def evaluate(x):
         s = np.sqrt(hbar)
-        return hermite_functions(n, x / s)[n] / np.sqrt(s) + 0j
+        return next(islice(_hermite_rows(x / s), n, None)) / np.sqrt(s) + 0j
 
     return WaveFunction(evaluate, hbar, f"hermite:{n}")
 
@@ -111,23 +116,31 @@ def fock_expansion(psi: WaveFunction) -> FockExpansion:
     the top quarter of |c_n| is at most 1e-15 and sum |c_n|^2 is 1 within
     1e-6 (a state displaced far from the origin has a negligible top quarter
     long before its norm is in); a state that needs more than FOCK_CAP fails
-    closed.  Run it once per state and hand the result to every consumer.
+    closed.  The h_n recurrence runs on across doublings, so a search that
+    stops at N builds N rows, and c is formed from blocks of SINC_BLOCK
+    points.  Run it once per state and hand the result to every consumer.
     """
     s = np.sqrt(psi.hbar)
     w = np.full(FOCK_GRID.n, FOCK_GRID.spacing)
     w[0] = w[-1] = FOCK_GRID.spacing / 2.0
     weighted = psi(FOCK_GRID.points) * w
+    rows = _hermite_rows(FOCK_GRID.points / s)
+    step = SINC_BLOCK // FOCK_GRID.n  # 8 rows tile every N and keep the whole-table product's bits; 1-row products do not
+    c = np.empty(FOCK_CAP, dtype=complex)
     N = 64
-    while True:
-        c = (hermite_functions(N - 1, FOCK_GRID.points / s) / np.sqrt(s)) @ weighted
-        norm = float(np.sum(np.abs(c) ** 2))
-        if np.abs(c[3 * N // 4 :]).max() <= 1e-15 and abs(norm - 1.0) <= 1e-6:
-            return FockExpansion(c, psi.hbar)
-        if N >= FOCK_CAP:
-            if not abs(norm - 1.0) <= 1e-6:
-                raise PreconditionError(f"the state's oscillator norm over n < {N} is {norm!r}, not 1 within 1e-6")
-            raise PreconditionError(f"the state's oscillator coefficients have not decayed to 1e-15 by n = {N}")
+    for i in range(0, FOCK_CAP, step):
+        block = np.stack(list(islice(rows, step)))
+        block /= np.sqrt(s)
+        c[i : i + step] = block @ weighted
+        if i + step < N:
+            continue
+        norm = float(np.sum(np.abs(c[:N]) ** 2))
+        if np.abs(c[3 * N // 4 : N]).max() <= 1e-15 and abs(norm - 1.0) <= 1e-6:
+            return FockExpansion(c[:N].copy(), psi.hbar)
         N *= 2
+    if not abs(norm - 1.0) <= 1e-6:
+        raise PreconditionError(f"the state's oscillator norm over n < {FOCK_CAP} is {norm!r}, not 1 within 1e-6")
+    raise PreconditionError(f"the state's oscillator coefficients have not decayed to 1e-15 by n = {FOCK_CAP}")
 
 
 def sampled_state(sf: SampledFunction1D, hbar: float = 1.0, label: str = "sampled") -> WaveFunction:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid2D, PreconditionError, SQRT2PI, ft_core, quadrature_2d
+from .numerics import SINC_BLOCK, Grid2D, PreconditionError, SQRT2PI, ft_core, quadrature_2d
 from .states import DEFAULT_GRID, WaveFunction
 
 
@@ -53,7 +53,8 @@ class CharacteristicFunction:
 
 
 def characteristic_function(psi: WaveFunction, alpha, beta):
-    """<psi| e^{-i(alpha X + beta P)} |psi>, vectorized over broadcast inputs.
+    """<psi| e^{-i(alpha X + beta P)} |psi> at the broadcast points of alpha and
+    beta, in passes of SINC_BLOCK quadrature nodes.
 
     Evaluated by quadrature of the split form on DEFAULT_GRID; the integrand
     needs psi at y - beta*hbar, so shifts larger than the working-grid
@@ -69,7 +70,7 @@ def characteristic_function(psi: WaveFunction, alpha, beta):
     y = g.points
     left = np.conj(psi(y))
     out = np.empty(af.size, dtype=complex)
-    chunk = max(1, 2**22 // max(1, y.size))
+    chunk = max(1, SINC_BLOCK // y.size)
     for i in range(0, af.size, chunk):
         ac = af[i : i + chunk, None]
         bc = bf[i : i + chunk, None]
@@ -107,28 +108,37 @@ def characteristic_grid(psi: WaveFunction, grid: Grid2D) -> CharacteristicFuncti
 def wigner_transform(psi: WaveFunction, grid: Grid2D) -> QuasiDistribution:
     """The quasi-distribution f(x, p) of psi on the given phase-space grid.
 
-    Each x-row is one inverse transform over the b-lattice dual to the p-axis.
-    The imaginary residue of the construction, the normalization, and the
-    1/(pi hbar) bound are checked.
+    Each x-row is one inverse transform over the b-lattice dual to the p-axis,
+    taken in blocks of rows holding SINC_BLOCK points each, so the working set
+    is one block beside the real result.  The imaginary residue of the
+    construction, the normalization, and the 1/(pi hbar) bound are checked.
     """
     gx, gp = grid.gx, grid.gp
     gb = gp.dual()
     h = psi.hbar
-    X = gx.points[:, None]
     B = gb.points[None, :]
-    rows = np.conj(psi(X + B * h / 2.0)) * psi(X - B * h / 2.0)
-    edge = max(np.abs(rows[:, 0]).max(), np.abs(rows[:, -1]).max())
-    if edge > 1e-9 * np.abs(rows).max():
+    step = max(1, SINC_BLOCK // gb.n)
+    f, edge, peak, imag = None, 0.0, 0.0, 0.0
+    for i in range(0, gx.n, step):
+        X = gx.points[i : i + step, None]
+        rows = np.conj(psi(X + B * h / 2.0)) * psi(X - B * h / 2.0)
+        edge = np.maximum(edge, max(np.abs(rows[:, 0]).max(), np.abs(rows[:, -1]).max()))
+        peak = np.maximum(peak, np.abs(rows).max())
+        block = ft_core(rows, gb, gp, +1, axis=1) / SQRT2PI
+        imag = np.maximum(imag, np.abs(block.imag).max())
+        if f is None:  # after the first transform, so on a one-block grid its peak and f do not overlap
+            f = np.empty(grid.shape)
+        f[i : i + step] = block.real
+        del rows, block  # freed before the next block is built
+    if edge > 1e-9 * peak:
         warnings.warn(
             f"wigner_transform: correlation not decayed at the b-window edge "
-            f"(edge/max = {edge / np.abs(rows).max():.2e}); refine the p-grid",
+            f"(edge/max = {edge / peak:.2e}); refine the p-grid",
             stacklevel=2,
         )
-    f = ft_core(rows, gb, gp, +1, axis=1) / SQRT2PI
-    imag = float(np.abs(f.imag).max())
     if imag > 1e-9:
         raise PreconditionError(f"wigner_transform imaginary residue {imag:.2e} above 1e-9")
-    q = QuasiDistribution(grid, f.real)
+    q = QuasiDistribution(grid, f)
     total = q.integral()
     if abs(total - 1.0) > 1e-8:
         raise PreconditionError(f"wigner_transform integral {total!r} not 1 within 1e-8")

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from quasiprob.numerics import SQRT2PI, ft_core
+
 # Ground-state Wigner function: for psi0(x) = pi^{-1/4} e^{-x^2/2} the
 # transform evaluates to (1/pi) e^{-x^2-p^2}; its value at the origin.
 W0_AT_ORIGIN = 1.0 / np.pi
@@ -184,3 +186,48 @@ def matrix_txt_text(values):
 # operator is diagonal with entries l^n/(1+hbar): (1/2)|0><0| at hbar = 1.
 def gauss_weyl_diagonal(hbar, n):
     return ((1.0 - hbar) / (1.0 + hbar)) ** np.arange(n) / (1.0 + hbar)
+
+
+# The three grid transforms in one pass over the whole grid, with no blocks;
+# the blocked forms in quasiprob must give the same bits.  The Wigner rows
+# for every x at once, then one inverse transform along the b-lattice dual to
+# the p-axis:
+def wigner_all_rows(psi, grid):
+    gb = grid.gp.dual()
+    X, B = grid.gx.points[:, None], gb.points[None, :]
+    rows = np.conj(psi(X + B * psi.hbar / 2.0)) * psi(X - B * psi.hbar / 2.0)
+    return (ft_core(rows, gb, grid.gp, +1, axis=1) / SQRT2PI).real
+
+
+# <psi| e^{-i(alpha X + beta P)} |psi> with the trapezoid rule on the nodes
+# of g at every (alpha, beta) point in one chunk:
+def characteristic_one_chunk(psi, alpha, beta, g):
+    a, b = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
+    af, bf = a.ravel(), b.ravel()
+    y = g.points
+    integ = np.conj(psi(y))[None, :] * np.exp(-1j * af[:, None] * y[None, :]) * psi(y[None, :] - bf[:, None] * psi.hbar)
+    out = np.trapezoid(integ, dx=g.spacing, axis=1)
+    out *= np.exp(1j * af * bf * psi.hbar / 2.0)
+    return out.reshape(a.shape)
+
+
+# The table h_0..h_nmax at u, filled in place by the stabilized recurrence
+# h_{n+1} = sqrt(2/(n+1)) u h_n - sqrt(n/(n+1)) h_{n-1}:
+def hermite_table(nmax, u):
+    u = np.asarray(u, dtype=float)
+    out = np.empty((nmax + 1,) + u.shape)
+    out[0] = np.pi**-0.25 * np.exp(-(u**2) / 2.0)
+    if nmax >= 1:
+        out[1] = np.sqrt(2.0) * u * out[0]
+    for n in range(1, nmax):
+        out[n + 1] = np.sqrt(2.0 / (n + 1)) * u * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
+    return out
+
+
+# c_n = <n|psi>, n < N, as one product of the whole h_n table, scaled to the
+# width sqrt(hbar), with the trapezoid-weighted samples of psi on g:
+def fock_full_table(psi, N, g):
+    s = np.sqrt(psi.hbar)
+    w = np.full(g.n, g.spacing)
+    w[0] = w[-1] = g.spacing / 2.0
+    return (hermite_table(N - 1, g.points / s) / np.sqrt(s)) @ (psi(g.points) * w)

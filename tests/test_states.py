@@ -11,7 +11,9 @@ from quasiprob.numerics import Grid1D, PreconditionError, SampledFunction1D
 from quasiprob.serial import write_sampled_csv
 from quasiprob.states import (
     DEFAULT_GRID,
+    FOCK_GRID,
     DirectionAB,
+    fock_expansion,
     gaussian_state,
     hermite_functions,
     oscillator_eigenstate,
@@ -122,6 +124,77 @@ def test_sampled_state_memory_is_bounded():
     tracemalloc.start()
     try:
         psi(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+def test_hermite_rows_are_bitwise_the_table():
+    u = np.linspace(-30.0, 30.0, 1001)
+    assert np.array_equal(hermite_functions(300, u), oracle.hermite_table(300, u))
+    assert np.array_equal(hermite_functions(0, 0.7), oracle.hermite_table(0, 0.7))
+    assert np.array_equal(hermite_functions(1, u[:5]), oracle.hermite_table(1, u[:5]))
+    for n, h in [(0, 1.0), (1, 2.0), (4, 1.0), (40, 0.5)]:
+        s = np.sqrt(h)
+        assert np.array_equal(oscillator_eigenstate(n, h)(u), oracle.hermite_table(n, u / s)[n] / np.sqrt(s) + 0j)
+
+
+def test_eigenstate_memory_is_two_rows():
+    # hermite:40 at 16384 points: the 41-row table took 5.6 MB
+    x = np.linspace(-9.0, 9.0, 16384)
+    psi = oscillator_eigenstate(40)
+    tracemalloc.start()
+    try:
+        psi(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
+FOCK_SAMPLES = Grid1D(-12.0, 12.0, 300)
+
+
+@pytest.mark.parametrize(
+    "psi, N",
+    [
+        (gaussian_state(0.0, 0.0, 1.0), 64),
+        (oscillator_eigenstate(7, 0.5), 64),
+        (gaussian_state(2.0, 3.0, 1.0), 128),
+        (gaussian_state(3.0, 3.0, 3.0, 2.0), 256),
+        (gaussian_state(10.0, -5.0, 0.7, 0.5), 512),
+        (gaussian_state(22.0, 0.0, 1.0), 1024),
+        (gaussian_state(0.0, 0.0, 0.2), 2048),
+        (gaussian_state(0.0, 0.0, 0.14, 0.5), 2048),
+        (sampled_state(SampledFunction1D(FOCK_SAMPLES, gaussian_state(0.5, -0.8, 1.2)(FOCK_SAMPLES.points)), 0.5), 256),
+    ],
+    ids=[
+        "gaussian(0,0,1)",
+        "hermite:7-hbar0.5",
+        "gaussian(2,3,1)",
+        "gaussian(3,3,3)-hbar2",
+        "gaussian(10,-5,0.7)-hbar0.5",
+        "gaussian(22,0,1)",
+        "gaussian(0,0,0.2)",
+        "gaussian(0,0,0.14)-hbar0.5",
+        "file:gaussian-hbar0.5",
+    ],
+)
+def test_fock_expansion_is_bitwise_the_full_table_product(psi, N):
+    # c from 8-row blocks of the recurrence continued across doublings,
+    # against one product of the whole N-row table
+    c = fock_expansion(psi).c
+    assert c.size == N
+    assert np.array_equal(c, oracle.fock_full_table(psi, N, FOCK_GRID))
+
+
+def test_fock_expansion_memory_is_bounded():
+    # N = 2048: the whole table and its complex cast took 96 MB
+    psi = gaussian_state(0.0, 0.0, 0.2)
+    tracemalloc.start()
+    try:
+        fock_expansion(psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

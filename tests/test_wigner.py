@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from quasiprob.numerics import PreconditionError, square_grid
-from quasiprob.states import gaussian_state, oscillator_eigenstate
+from quasiprob.numerics import Grid1D, Grid2D, PreconditionError, SampledFunction1D, square_grid
+from quasiprob.states import DEFAULT_GRID, gaussian_state, oscillator_eigenstate, sampled_state
 from quasiprob.wigner import (
     QuasiDistribution,
     characteristic_function,
@@ -15,6 +17,43 @@ from quasiprob.wigner import (
 )
 
 COORDS = st.floats(-2.0, 2.0)
+
+GAUSS_SAMPLES = Grid1D(-12.0, 12.0, 300)
+HERMITE_SAMPLES = Grid1D(-12.0, 12.0, 160)
+
+# closed-form and sampled states, each built at the hbar given
+BLOCK_STATES = {
+    "hermite:0": lambda h: oscillator_eigenstate(0, h),
+    "hermite:2": lambda h: oscillator_eigenstate(2, h),
+    "hermite:7": lambda h: oscillator_eigenstate(7, h),
+    "gaussian(0.5,-0.8,1.2)": lambda h: gaussian_state(0.5, -0.8, 1.2, h),
+    "gaussian(-1,1,1)": lambda h: gaussian_state(-1.0, 1.0, 1.0, h),
+    "file:gaussian": lambda h: sampled_state(
+        SampledFunction1D(GAUSS_SAMPLES, gaussian_state(0.5, -0.8, 1.2)(GAUSS_SAMPLES.points)), h
+    ),
+    "file:hermite:3": lambda h: sampled_state(
+        SampledFunction1D(HERMITE_SAMPLES, oscillator_eigenstate(3, h)(HERMITE_SAMPLES.points)), h
+    ),
+}
+
+# one block of rows, whole blocks, and blocks that do not divide the x-axis
+BLOCK_GRIDS = {
+    "128^2": square_grid(-10.0, 10.0, 128),  # 128 rows of 128: one block
+    "256^2": square_grid(-12.0, 12.0, 256),  # 4 blocks of 64 rows
+    "200x120": Grid2D(Grid1D(-12.0, 12.0, 200), Grid1D(-9.0, 9.0, 120)),  # 136 + 64 rows
+    "150x301": Grid2D(Grid1D(-12.0, 12.0, 150), Grid1D(-12.0, 12.0, 301)),  # 54 + 54 + 42 rows
+}
+
+
+def traced_peak(fn):
+    """fn's result and the tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def test_ground_state_closed_form(ground):
@@ -153,3 +192,39 @@ def test_small_grid_norm_check_raises(ground):
     with pytest.raises(PreconditionError):
         wigner_transform(ground, square_grid(-1.5, 1.5, 32))
 
+
+@pytest.mark.filterwarnings("ignore:wigner_transform. correlation not decayed")
+@pytest.mark.parametrize("grid", BLOCK_GRIDS.values(), ids=BLOCK_GRIDS.keys())
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("state", BLOCK_STATES.values(), ids=BLOCK_STATES.keys())
+def test_blocked_wigner_is_bitwise_the_all_rows_transform(state, h, grid):
+    psi = state(h)
+    assert np.array_equal(wigner_transform(psi, grid).values, oracle.wigner_all_rows(psi, grid))
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("state", BLOCK_STATES.values(), ids=BLOCK_STATES.keys())
+def test_blocked_characteristic_function_is_bitwise_one_chunk(state, h):
+    # 21 x 13 = 273 points: 8 passes of 32 shifts and one of 17
+    psi = state(h)
+    alpha, beta = np.linspace(-4.0, 4.0, 21)[:, None], np.linspace(-3.0, 3.0, 13)
+    got = characteristic_function(psi, alpha, beta)
+    assert np.array_equal(got, oracle.characteristic_one_chunk(psi, alpha, beta, DEFAULT_GRID))
+
+
+@pytest.mark.parametrize("psi", [oscillator_eigenstate(2), gaussian_state(0.5, -0.8, 1.2)], ids=["hermite:2", "gaussian"])
+def test_wigner_memory_is_about_the_result(psi):
+    # the one-pass transform peaked at 6-9 times the result's 2 MB
+    grid = square_grid(-8.0, 8.0, 512)
+    q, peak = traced_peak(lambda: wigner_transform(psi, grid))
+    assert peak <= 3 * q.values.nbytes
+    assert q.values.dtype == float and q.values.flags.owndata
+
+
+@pytest.mark.parametrize("state", ["hermite:2", "gaussian(0.5,-0.8,1.2)", "file:gaussian"])
+def test_characteristic_function_memory_is_bounded(state):
+    # charfn's default 64^2 grid: one pass of 2^22 nodes peaked at 81-160 MB
+    psi = BLOCK_STATES[state](1.0)
+    a = Grid1D(-4.0, 4.0, 64).points
+    _, peak = traced_peak(lambda: characteristic_function(psi, a[:, None], a))
+    assert peak <= 4 * 2**20
