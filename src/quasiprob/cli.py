@@ -266,10 +266,10 @@ def cmd_charfn(o: dict) -> dict:
     """characteristic function <e^{-i(alpha X + beta P)}> on a grid"""
     psi = parse_state(o["state"], o["hbar"])
     g = _grid1("alpha", o["amin"], o["amax"], o["n"])
-    origin = characteristic_function(psi, 0.0, 0.0)
+    origin = complex(characteristic_function(psi, 0.0, 0.0)[0, 0])
     _require_unit("characteristic function at the origin", origin.real)
     a = g.points[:, None]
-    vals = characteristic_function(psi, a, g.points)
+    vals = characteristic_function(psi, g.points, g.points)
     write_csv(Path(o["out"]) / "charfn.csv", ("alpha", "beta", "re", "im"), a, g.points, vals.real, vals.imag)
     report = {
         "kind": "charfn-meta",

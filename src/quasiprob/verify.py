@@ -29,7 +29,6 @@ from .weyl import displacement, interior_block, moyal_expectation_check, oscilla
 from .wigner import (
     QuasiDistribution,
     characteristic_function,
-    characteristic_grid,
     negative_volume,
     wigner_from_characteristic,
     wigner_transform,
@@ -113,15 +112,15 @@ def run_verify() -> dict:
     # characteristic function closed forms (ground state, shifted packet)
     probe = np.linspace(-2.0, 2.0, 9)
     A, B = np.meshgrid(probe, probe, indexing="ij")
-    cf = characteristic_function(psi0, A, B)
+    cf = characteristic_function(psi0, probe, probe)
     s.le("charfn-ground-max-dev", float(np.abs(cf - np.exp(-(A**2 + B**2) / 4.0)).max()), 1e-8)
-    cfc = characteristic_function(coh, A, B)
+    cfc = characteristic_function(coh, probe, probe)
     exact = np.exp(-1j * (A * 2.0 + B * 3.0)) * np.exp(-(A**2 + B**2) / 4.0)
     s.le("charfn-coherent-phase-dev", float(np.abs(cfc - exact).max()), 1e-8)
 
     # the uniqueness proof's constructive step: f is the inverse transform of
     # its characteristic function (excited state, against the closed form)
-    fi = wigner_from_characteristic(characteristic_grid(psi1, square_grid(-12.0, 12.0, 64)))
+    fi = wigner_from_characteristic(psi1, square_grid(-12.0, 12.0, 64))
     Xi, Pi = fi.grid.meshgrid()
     ri = Xi**2 + Pi**2
     s.le("charfn-inversion-excited-max-dev", float(np.abs(fi.values - (2 * ri - 1) * np.exp(-ri) / np.pi).max()), 1e-10)
@@ -182,7 +181,7 @@ def run_verify() -> dict:
             for a in (-1.0, 0.5, 2.0):
                 for b in (-1.5, 1.0):
                     matrix_side = np.conj(c) @ displacement(-a, -b, c.size, hbar) @ c
-                    dev = max(dev, abs(matrix_side - characteristic_function(psi, a, b)))
+                    dev = max(dev, abs(matrix_side - characteristic_function(psi, a, b)[0, 0]))
     s.le("displacement-charfn-dev", float(dev), 1e-12)
 
     # expectation equality for six symbols and three states

@@ -44,65 +44,41 @@ class QuasiDistribution:
         return quadrature_2d(self.values, self.grid)
 
 
-@dataclass(frozen=True)
-class CharacteristicFunction:
-    """fhat(a, b) = <e^{-i(aX+bP)}>/(2 pi) sampled on an (alpha, beta) grid."""
+def characteristic_function(psi: WaveFunction, alpha, beta) -> np.ndarray:
+    """<psi| e^{-i(alpha X + beta P)} |psi> on the axes alpha and beta (a scalar
+    is an axis of one), as the (len alpha, len beta) table.
 
-    grid: Grid2D
-    values: np.ndarray
-
-
-def characteristic_function(psi: WaveFunction, alpha, beta):
-    """<psi| e^{-i(alpha X + beta P)} |psi> at the broadcast points of alpha and
-    beta, in passes of SINC_BLOCK quadrature nodes.
-
-    Evaluated by quadrature of the split form on DEFAULT_GRID; the integrand
-    needs psi at y - beta*hbar, so shifts larger than the working-grid
+    Quadrature of the split form on DEFAULT_GRID, with psi(y - beta*hbar)
+    evaluated once per beta, in blocks of shifts holding SINC_BLOCK nodes, and
+    e^{-i alpha y} once per alpha in each block.  Shifts larger than the working-grid
     half-span are only trusted where the result has already decayed.
     """
     g = DEFAULT_GRID
     h = psi.hbar
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    a, b = np.broadcast_arrays(alpha, beta)
-    shape = a.shape
-    af, bf = a.ravel(), b.ravel()
+    a = np.atleast_1d(np.asarray(alpha, dtype=float))
+    b = np.atleast_1d(np.asarray(beta, dtype=float))
     y = g.points
     left = np.conj(psi(y))
-    out = np.empty(af.size, dtype=complex)
-    chunk = max(1, SINC_BLOCK // y.size)
-    for i in range(0, af.size, chunk):
-        ac = af[i : i + chunk, None]
-        bc = bf[i : i + chunk, None]
-        integ = left[None, :] * np.exp(-1j * ac * y[None, :]) * psi(y[None, :] - bc * h)
-        out[i : i + chunk] = np.trapezoid(integ, dx=g.spacing, axis=1)
-    out *= np.exp(1j * af * bf * h / 2.0)
-    span = g.max - g.min
-    risky = (np.abs(bf) * h > span / 2) & (np.abs(out) > 1e-10)
+    out = np.empty((a.size, b.size), dtype=complex)
+    step = max(1, SINC_BLOCK // y.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge hbar overflows beta*hbar to inf
+        for j in range(0, b.size, step):
+            shifted = psi(y[None, :] - b[j : j + step, None] * h)
+            for i in range(a.size):
+                row = left * np.exp(-1j * a[i] * y)
+                out[i, j : j + step] = np.trapezoid(row[None, :] * shifted, dx=g.spacing, axis=1)
+        out *= np.exp(1j * a[:, None] * b[None, :] * h / 2.0)
+        far = np.abs(b) * h > (g.max - g.min) / 2
+    if not np.all(np.isfinite(out)):
+        raise PreconditionError(f"characteristic_function: {np.sum(~np.isfinite(out))} non-finite value(s)")
+    risky = far[None, :] & (np.abs(out) > 1e-10)
     if np.any(risky):
         warnings.warn(
             f"characteristic_function: {int(risky.sum())} point(s) shift the state "
             "more than half the working grid and have not decayed; widen the grid",
             stacklevel=2,
         )
-    return out.reshape(shape) if shape else complex(out[0])
-
-
-def characteristic_grid(psi: WaveFunction, grid: Grid2D) -> CharacteristicFunction:
-    """Sample fhat = <e^{-i(aX+bP)}>/(2 pi) on grid (x-axis = alpha, p-axis = beta).
-
-    When the origin is a grid point, fhat(0, 0) must equal 1/(2 pi)."""
-    A, B = grid.meshgrid()
-    vals = characteristic_function(psi, A, B) / (2 * np.pi)
-    ia = int(np.argmin(np.abs(grid.gx.points)))
-    ib = int(np.argmin(np.abs(grid.gp.points)))
-    if abs(grid.gx.points[ia]) < 1e-12 and abs(grid.gp.points[ib]) < 1e-12:
-        dev = abs(vals[ia, ib] - 1.0 / (2 * np.pi))
-        if dev > 1e-8:
-            raise PreconditionError(
-                f"characteristic normalization off: |fhat(0,0) - 1/2pi| = {dev:.2e}"
-            )
-    return CharacteristicFunction(grid, vals)
+    return out
 
 
 def wigner_transform(psi: WaveFunction, grid: Grid2D) -> QuasiDistribution:
@@ -148,12 +124,25 @@ def wigner_transform(psi: WaveFunction, grid: Grid2D) -> QuasiDistribution:
     return q
 
 
-def wigner_from_characteristic(cf: CharacteristicFunction) -> QuasiDistribution:
-    """Inverse 2-D transform of fhat onto the dual of its grid; matches
-    wigner_transform there when fhat has decayed at the window edge."""
-    target = cf.grid.dual()
-    out = ft_core(cf.values, cf.grid.gx, target.gx, +1, axis=0)
-    out = ft_core(out, cf.grid.gp, target.gp, +1, axis=1)
+def wigner_from_characteristic(psi: WaveFunction, grid: Grid2D) -> QuasiDistribution:
+    """The quasi-distribution of psi as the inverse 2-D transform of
+    fhat = <e^{-i(aX+bP)}>/(2 pi), sampled on grid (x-axis = alpha, p-axis =
+    beta), onto the dual of the grid.
+
+    When the origin is a grid point, fhat(0, 0) must equal 1/(2 pi).  The
+    result matches wigner_transform there when fhat has decayed at the
+    window edge.
+    """
+    gx, gp = grid.gx, grid.gp
+    vals = characteristic_function(psi, gx.points, gp.points) / (2 * np.pi)
+    ia, ib = int(np.argmin(np.abs(gx.points))), int(np.argmin(np.abs(gp.points)))
+    if abs(gx.points[ia]) < 1e-12 and abs(gp.points[ib]) < 1e-12:
+        dev = abs(vals[ia, ib] - 1.0 / (2 * np.pi))
+        if dev > 1e-8:
+            raise PreconditionError(f"characteristic normalization off: |fhat(0,0) - 1/2pi| = {dev:.2e}")
+    target = grid.dual()
+    out = ft_core(vals, gx, target.gx, +1, axis=0)
+    out = ft_core(out, gp, target.gp, +1, axis=1)
     imag = float(np.abs(out.imag).max())
     scale = float(np.abs(out.real).max())
     if scale > 0 and imag > 1e-9 * max(1.0, scale):

@@ -77,14 +77,14 @@ def test_criterion_03_characteristic_closed_form_and_phase(ground):
     # 9x9 probe of the ground-state characteristic function
     a = np.linspace(-2.0, 2.0, 9)
     A, B = np.meshgrid(a, a, indexing="ij")
-    dev0 = float(np.max(np.abs(characteristic_function(ground, A, B) - oracle.coherent_cf(A, B))))
+    dev0 = float(np.max(np.abs(characteristic_function(ground, a, a) - oracle.coherent_cf(A, B))))
     assert dev0 < 1e-8, f"ground probe dev {dev0:.3e} >= 1e-8"
 
     # off-center coherent state: the cross phase is checked against the
     # closed form and against an operator-side oracle that never splits
     # the exponential (its closed-form matrix elements in the Fock basis)
     psi = gaussian_state(1.0, -1.0, 1.0)
-    dev1 = float(np.max(np.abs(characteristic_function(psi, A, B) - oracle.coherent_cf(A, B, 1.0, -1.0))))
+    dev1 = float(np.max(np.abs(characteristic_function(psi, a, a) - oracle.coherent_cf(A, B, 1.0, -1.0))))
     assert dev1 < 1e-8, f"off-center probe dev {dev1:.3e} >= 1e-8"
 
     c = fock_expansion(psi).c[:64]
@@ -94,7 +94,7 @@ def test_criterion_03_characteristic_closed_form_and_phase(ground):
             # e^{-i(aX+bP)} is the displacement with both signs flipped
             D = displacement(-alpha, -beta, 64)
             matrix_side = complex(np.conj(c) @ D @ c)
-            integral_side = complex(characteristic_function(psi, alpha, beta))
+            integral_side = complex(characteristic_function(psi, alpha, beta)[0, 0])
             dev2 = max(dev2, abs(matrix_side - integral_side))
     assert dev2 < 1e-6, f"matrix-side dev {dev2:.3e} >= 1e-6"
     report(3, f"probe devs {dev0:.3e}/{dev1:.3e} (tol 1e-8), operator oracle {dev2:.3e} (tol 1e-6)")

@@ -403,6 +403,22 @@ def test_huge_hbar_exits_1_with_one_line(tmp_path, capsys, argv):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("hbar, bad", [("1e308", 2994), ("4.6e307", 1704)])
+def test_charfn_overflowing_hbar_exits_1_with_one_line(tmp_path, capsys, hbar, bad):
+    # beta*hbar and alpha*beta*hbar overflow to inf and chi to NaN, which the
+    # |chi| > 1e-10 test of the shift warning cannot see; hbar = 1e300 still
+    # gives finite values for this state and exits 0
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["charfn", "--state", "gaussian:0,1,1", "--hbar", hbar, "--out", str(out)]) == 1
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: characteristic_function: {bad} non-finite value(s)"]
+    assert not (out / "charfn.csv").exists()
+
+
 @pytest.mark.parametrize("sigma", ["1e-200", "1e-170", "1e200", "1e300"])
 @pytest.mark.parametrize("argv", [["wigner"], ["charfn"], ["marginal", "--theta", "0.3"]])
 def test_extreme_gaussian_width_exits_1_with_one_line(tmp_path, capsys, argv, sigma):

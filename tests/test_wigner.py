@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 from quasiprob.numerics import Grid1D, Grid2D, PreconditionError, SampledFunction1D, square_grid
-from quasiprob.states import DEFAULT_GRID, gaussian_state, oscillator_eigenstate, sampled_state
+from quasiprob.states import DEFAULT_GRID, WaveFunction, gaussian_state, oscillator_eigenstate, sampled_state
 from quasiprob.wigner import (
     QuasiDistribution,
     characteristic_function,
-    characteristic_grid,
     negative_volume,
     wigner_from_characteristic,
     wigner_transform,
@@ -34,6 +33,23 @@ BLOCK_STATES = {
     "file:hermite:3": lambda h: sampled_state(
         SampledFunction1D(HERMITE_SAMPLES, oscillator_eigenstate(3, h)(HERMITE_SAMPLES.points)), h
     ),
+}
+
+# the (alpha, beta) axes and states on which characteristic_function is held
+# to the one-chunk oracle bit for bit
+CF_SAMPLES = Grid1D(-11.0, 11.0, 128)
+CF_STATES = {
+    "hermite:3": lambda h: oscillator_eigenstate(3, h),
+    "gaussian(0.5,-0.8,1.2)": BLOCK_STATES["gaussian(0.5,-0.8,1.2)"],
+    "file:gaussian128": lambda h: sampled_state(
+        SampledFunction1D(CF_SAMPLES, gaussian_state(0.5, -0.8, 1.2, h)(CF_SAMPLES.points)), h
+    ),
+}
+CF_AXES = {
+    "21x13": (np.linspace(-4.0, 4.0, 21), np.linspace(-3.0, 3.0, 13)),  # one block of beta
+    "64x64": (Grid1D(-4.0, 4.0, 64).points,) * 2,  # charfn's default: two blocks of 32 shifts
+    "origin": (0.0, 0.0),
+    "1x1": (0.7, -1.3),
 }
 
 # one block of rows, whole blocks, and blocks that do not divide the x-axis
@@ -116,14 +132,15 @@ def test_x_marginal_recovers_density(excited):
 @settings(max_examples=30, deadline=None)
 def test_characteristic_function_ground(ground, alpha, beta):
     v = characteristic_function(ground, alpha, beta)
-    assert abs(complex(v) - oracle.coherent_cf(alpha, beta)) < 1e-12
+    assert v.shape == (1, 1)
+    assert abs(v[0, 0] - oracle.coherent_cf(alpha, beta)) < 1e-12
 
 
 def test_characteristic_function_off_center_phase():
     psi = gaussian_state(1.0, -1.0, 1.0)
     a = np.linspace(-2, 2, 9)
     A, B = np.meshgrid(a, a, indexing="ij")
-    vals = characteristic_function(psi, A, B)
+    vals = characteristic_function(psi, a, a)
     ref = oracle.coherent_cf(A, B, 1.0, -1.0)
     assert np.max(np.abs(vals - ref)) < 1e-12
 
@@ -136,17 +153,9 @@ def test_characteristic_function_coherent_at_hbar(h):
     psi = gaussian_state(x0, p0, np.sqrt(h), hbar=h)
     a = np.linspace(-1.75, 1.75, 8)
     A, B = np.meshgrid(a, a, indexing="ij")
-    vals = characteristic_function(psi, A, B)
+    vals = characteristic_function(psi, a, a)
     ref = oracle.coherent_cf(A, B, x0, p0, hbar=h)
     assert np.max(np.abs(vals - ref)) < 1e-12
-
-
-def test_characteristic_grid_scales_by_2pi(ground):
-    grid = square_grid(-4.0, 4.0, 32)
-    cf = characteristic_grid(ground, grid)
-    A, B = np.meshgrid(grid.gx.points, grid.gp.points, indexing="ij")
-    ref = oracle.coherent_cf(A, B) / (2 * np.pi)
-    assert np.max(np.abs(cf.values - ref)) < 1e-12
 
 
 def test_wigner_from_characteristic_roundtrip(ground):
@@ -155,10 +164,23 @@ def test_wigner_from_characteristic_roundtrip(ground):
     # the (alpha, beta) window is sized so the e^{-(a^2+b^2)/4} tail is
     # below machine precision at the edge
     agrid = square_grid(-12.0, 12.0, 128)
-    cf = characteristic_grid(ground, agrid)
-    f1 = wigner_from_characteristic(cf)
+    f1 = wigner_from_characteristic(ground, agrid)
     f2 = wigner_transform(ground, f1.grid)
     assert np.max(np.abs(f1.values - f2.values)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [64, 65], ids=["origin-on-grid", "origin-off-grid"])
+def test_wigner_from_characteristic_checks_chi_at_the_origin(ground, n):
+    # psi scaled by 2 has chi(0, 0) = 4: refused where the origin is a grid
+    # point (even n on [-12, 12)), inverted unchecked where it is not
+    doubled = WaveFunction(lambda x: 2.0 * ground(x), ground.hbar)
+    grid = square_grid(-12.0, 12.0, n)
+    if n == 64:
+        with pytest.raises(PreconditionError, match="characteristic normalization off"):
+            wigner_from_characteristic(doubled, grid)
+    else:
+        f = wigner_from_characteristic(doubled, grid)
+        assert f.integral() == pytest.approx(4.0, abs=1e-8)
 
 
 def test_negative_volume_excited(excited):
@@ -205,11 +227,40 @@ def test_blocked_wigner_is_bitwise_the_all_rows_transform(state, h, grid):
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("state", BLOCK_STATES.values(), ids=BLOCK_STATES.keys())
 def test_blocked_characteristic_function_is_bitwise_one_chunk(state, h):
-    # 21 x 13 = 273 points: 8 passes of 32 shifts and one of 17
+    # 21 alphas by 13 shifts: one block of beta, shorter than 32
     psi = state(h)
-    alpha, beta = np.linspace(-4.0, 4.0, 21)[:, None], np.linspace(-3.0, 3.0, 13)
+    alpha, beta = np.linspace(-4.0, 4.0, 21), np.linspace(-3.0, 3.0, 13)
     got = characteristic_function(psi, alpha, beta)
-    assert np.array_equal(got, oracle.characteristic_one_chunk(psi, alpha, beta, DEFAULT_GRID))
+    assert np.array_equal(got, oracle.characteristic_one_chunk(psi, alpha[:, None], beta, DEFAULT_GRID))
+
+
+@pytest.mark.parametrize("axes", CF_AXES.keys())
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("state", CF_STATES.keys())
+def test_characteristic_function_on_axes_is_bitwise_one_chunk(state, h, axes):
+    psi = CF_STATES[state](h)
+    alpha, beta = CF_AXES[axes]
+    got = characteristic_function(psi, alpha, beta)
+    assert got.shape == (np.size(alpha), np.size(beta))
+    assert np.array_equal(got, oracle.characteristic_one_chunk(psi, np.reshape(alpha, (-1, 1)), beta, DEFAULT_GRID))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.3, -0.2), (np.linspace(-4, 4, 5), np.linspace(-4, 4, 40)), CF_AXES["64x64"]])
+def test_characteristic_function_evaluates_psi_once_per_beta(monkeypatch, alpha, beta):
+    # psi on the 512 quadrature nodes, then on their shifts by each beta*hbar:
+    # 512 + 64 * 512 = 33 280 points on 64^2 axes, where one evaluation per
+    # (alpha, beta) point would take 512 + 4096 * 512
+    points = []
+    evaluate = WaveFunction.__call__
+
+    def counted(self, x):
+        points.append(np.size(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(WaveFunction, "__call__", counted)
+    got = characteristic_function(oscillator_eigenstate(3), alpha, beta)
+    assert got.shape == (np.size(alpha), np.size(beta))
+    assert sum(points) == DEFAULT_GRID.n * (1 + np.size(beta))
 
 
 @pytest.mark.parametrize("psi", [oscillator_eigenstate(2), gaussian_state(0.5, -0.8, 1.2)], ids=["hermite:2", "gaussian"])
@@ -226,5 +277,5 @@ def test_characteristic_function_memory_is_bounded(state):
     # charfn's default 64^2 grid: one pass of 2^22 nodes peaked at 81-160 MB
     psi = BLOCK_STATES[state](1.0)
     a = Grid1D(-4.0, 4.0, 64).points
-    _, peak = traced_peak(lambda: characteristic_function(psi, a[:, None], a))
+    _, peak = traced_peak(lambda: characteristic_function(psi, a, a))
     assert peak <= 4 * 2**20
