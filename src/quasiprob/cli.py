@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -108,7 +109,9 @@ SUB_OPTS: dict[str, list[tuple[str, Callable, Any]]] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hbar", type=float, default=argparse.SUPPRESS, help="Planck constant (default 1.0)")
     common.add_argument("--out", type=str, default=argparse.SUPPRESS, help="output directory (default .)")

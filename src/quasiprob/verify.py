@@ -25,7 +25,7 @@ from .tomography import (
     smooth_modification,
     verify_j2m,
 )
-from .weyl import displacement, interior_block, moyal_expectation_check, oscillator_matrices, symbol, weyl_quantize
+from .weyl import displacement, moyal_expectation_check, oscillator_matrices, symbol, weyl_quantize
 from .wigner import (
     QuasiDistribution,
     characteristic_function,
@@ -109,6 +109,20 @@ def run_verify() -> dict:
     s.le("wigner-excited-origin-dev", float(abs(f1.values[i0, j0] + 1.0 / np.pi)), 1e-6)
     s.gt("wigner-excited-negativity", negative_volume(f1), 0.0)
 
+    # Wigner of hermite:3 at hbar != 1 against Groenewold's closed form
+    # (-1)^n e^{-r^2/hbar} L_n(2 r^2/hbar) / (pi hbar); W is below rounding
+    # past r = 10 at hbar = 2, and the p-spacing puts the b-window past the
+    # correlation's support at hbar = 0.5
+    g3 = square_grid(-10.0, 10.0, 128)
+    X3, P3 = g3.meshgrid()
+    r3 = X3**2 + P3**2
+    dev = 0.0
+    for hbar in (0.5, 2.0):
+        t = 2 * r3 / hbar
+        ref = -np.exp(-t / 2) * (1 - 3 * t + 1.5 * t**2 - t**3 / 6) / (np.pi * hbar)
+        dev = max(dev, float(np.abs(wigner_transform(oscillator_eigenstate(3, hbar), g3).values - ref).max()))
+    s.le("wigner-hermite3-hbar-dev", dev, 1e-12)
+
     # characteristic function closed forms (ground state, shifted packet)
     probe = np.linspace(-2.0, 2.0, 9)
     A, B = np.meshgrid(probe, probe, indexing="ij")
@@ -165,12 +179,21 @@ def run_verify() -> dict:
         s.le(f"tamper-{name}-axis-max", float(res[:2].max()), 1e-9)
         s.gt(f"tamper-{name}-oblique-residual", float(res[2]), 1e-3)
 
-    # symmetric ordering of xp at the matrix level
+    # symmetric ordering of xp at the matrix level: the whole matrix against
+    # (XP+PX)/2 built at N + 2, whose top-left block reaches no truncated entry
     N = 32
-    Xm, Pm = oscillator_matrices(N)
+    Xm, Pm = oscillator_matrices(N + 2)
     G = weyl_quantize(symbol("xp"), N)
     ref = (Xm @ Pm + Pm @ Xm) / 2.0
-    s.le("weyl-xp-interior-dev", float(np.abs(interior_block(G - ref)).max()), 1e-6)
+    s.le("weyl-xp-interior-dev", float(np.abs(G - ref[:N, :N]).max()), 1e-12)
+
+    # e^{-x^2-p^2} quantizes to the diagonal ((1-hbar)/(1+hbar))^n / (1+hbar)
+    # at any hbar (it is (1/2)|0><0| at hbar = 1)
+    dev = 0.0
+    for hbar in (0.5, 2.0):
+        exact = ((1 - hbar) / (1 + hbar)) ** np.arange(20) / (1 + hbar)
+        dev = max(dev, float(np.abs(np.diag(weyl_quantize(symbol("gauss"), 20, hbar)) - exact).max()))
+    s.le("weyl-gauss-hbar-dev", dev, 1e-12)
 
     # <e^{-i(aX+bP)}> two ways at hbar != 1: sandwiched between the state's
     # oscillator coefficients, and by the split-form quadrature

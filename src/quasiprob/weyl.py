@@ -1,61 +1,56 @@
 """Weyl quantization g(x, p) -> g(X, P) in a truncated oscillator basis,
 displacement operators, and the expectation-equality check.
 
-The quantization rule is
+Weyl quantization is the dual of the Wigner transform: <psi|g(X,P)|psi> is the
+phase-space integral of g against psi's Wigner function.  So each matrix
+element is an integral of g against the Wigner function of |n+d><n|, which is
+closed form (Groenewold, Physica 12, 405 (1946); Cahill & Glauber, Phys. Rev.
+177, 1857 (1969)): with (x, p) = r (cos phi, sin phi) and t = 2 r^2 / hbar,
 
-    g(X, P) = (1/2 pi) integral ghat(a, b) e^{i(a X + b P)} da db
-
-with ghat the unitary 2-D transform of g.  Polynomial symbols have
-distributional transforms; they are regularized by Gaussian damping
-g * e^{-eps (x^2+p^2)}, whose transform is closed-form.  The damping bias on
-the quantized matrix grows linearly in eps while the quadrature's rounding
-floor grows as eps shrinks (the weights scale like 1/eps); EPS = 1e-9 sits at
-the measured optimum, giving interior-block errors ~3e-7 at N = 32.
-
-Each quadrature node needs e^{i(aX+bP)}.  Its matrix elements are closed
-form (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)): with (a, b) =
-r (cos phi, sin phi) and t = hbar r^2 / 2, for m = n + d >= n,
-
-    <m| e^{i(aX+bP)} |n> = i^d e^{i d phi} l_n^(d)(t),
+    <n| g(X,P) |n+d> = integral g(x, p) W_{|n+d><n|}(x, p) dx dp,
+    W_{|n+d><n|} = ((-1)^n / (pi hbar)) e^{-i d phi} l_n^(d)(t),
     l_n^(d)(t) = sqrt(n!/(n+d)!) t^{d/2} e^{-t/2} L_n^(d)(t),
 
-with L_n^(d) the generalized Laguerre polynomial, and the rows m < n are
-(-1)^d times the conjugates.  These are the elements of the untruncated
-operator, so the N x N matrix is its compression P_N e^{i(aX+bP)} P_N with no
-error at the basis edge.  A node enters only through its radius and e^{i d phi},
-so the quadrature sums the phases per radius first:
-G_{n+d,n} = i^d sum_R l_n^(d)(t_R) S_d(R), S_d(R) = sum_{nodes at R} w e^{i d phi},
-and a real symbol gives a Hermitian G.
+with L_n^(d) the generalized Laguerre polynomial.  W decays like e^{-r^2/hbar},
+so a polynomial symbol needs no damping and no Fourier transform, and the
+N x N matrix is the compression of the untruncated operator with no error at
+the basis edge.
+
+The integral is the midpoint rule on the lattice x, p = (i + 1/2) h, so no
+node is at the origin, with h = 2 pi / k and
+
+    k = 2 sqrt((2N+1)/hbar) + 12/sqrt(hbar) + band(g):
+
+the transform of W reaches its last turning point at 2 sqrt((2N+1)/hbar) and
+falls below 1e-16 within 12/sqrt(hbar) of it, and the symbol's own band
+widens the product's.  The nodes are kept on the disc r <= L, L =
+min(sqrt((2N+1) hbar) + 5 sqrt(hbar), support(g)), 5 sqrt(hbar) past W's last
+turning point, and where |g| > 1e-16 max|g|.  The largest t is then
+2 (sqrt(2N+1) + 5)^2, and N <= 232 keeps the Laguerre start e^{-t/2} from
+underflowing.  A node enters only through its lattice radius
+R = (2i+1)^2 + (2j+1)^2 and e^{-i d phi}, so the phases are summed per radius
+first:
+
+    <n|G|n+d> = ((-1)^n / (pi hbar)) sum_R l_n^(d)(t_R) S_d(R),
+    S_d(R) = sum_{nodes at R} g h^2 e^{-i d phi},  t_R = h^2 R / (2 hbar),
+
+and the rows below the diagonal are the conjugates, since g is real.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numerics import Grid2D, PreconditionError, quadrature_2d, square_grid
+from .numerics import PreconditionError, quadrature_2d, square_grid
 from .states import FockExpansion, WaveFunction
 from .wigner import wigner_transform
 
-#: Damping rate for polynomial symbols; see the module docstring.
-EPS = 1e-9
-
-#: Phase-space quadrature grid for the Gaussian symbol (dual window ~ +-12.6).
-GAUSS_GRID = square_grid(-24.0, 24.0, 192)
-
-#: Quadrature grid for the damped polynomials: the dual window must extend to
-#: ~30 sqrt(EPS) so the Gaussian tail beats the 1/EPS^2 transform prefactor.
-POLYNOMIAL_GRID = square_grid(-np.sqrt(46.0 / EPS), np.sqrt(46.0 / EPS), 128)
-
-#: Quadrature nodes with |ghat| below PRUNE * max|ghat| are dropped.
-PRUNE = 1e-15
-
 #: Radii per block of the Laguerre table in weyl_quantize.
-CHUNK = 512
+CHUNK = 1024
 
 #: Phase-space grid of the quadrature side of moyal_expectation_check.
 MOYAL_GRID = square_grid(-12.0, 12.0, 192)
@@ -63,51 +58,32 @@ MOYAL_GRID = square_grid(-12.0, 12.0, 192)
 
 @dataclass(frozen=True)
 class PhaseSpaceFunction:
-    """Real symbol g(x, p), its closed-form transform ghat(a, b), and the
-    phase-space grid whose dual lattice carries the quantization quadrature."""
+    """Real symbol g(x, p), the wavenumber band past which its transform is
+    below 1e-16 of its peak (0 for polynomials), and the radius past which g
+    is below 1e-16 of its peak (infinite for polynomials)."""
 
     label: str
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    transform: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    quad_grid: Grid2D
+    band: float = 0.0
+    support: float = math.inf
 
 
 def symbol(name: str) -> PhaseSpaceFunction:
-    """Library symbols: x, p, x2, p2, xp, x2p2 (damped by e^{-EPS r^2}) and
-    gauss = e^{-x^2-p^2} (no damping needed)."""
+    """Library symbols: x, p, x2, p2, xp, x2p2 and gauss = e^{-x^2-p^2}."""
     if name == "gauss":
-        return PhaseSpaceFunction(
-            "gauss",
-            lambda x, p: np.exp(-(x**2) - p**2),
-            lambda a, b: 0.5 * np.exp(-(a**2 + b**2) / 4.0),
-            GAUSS_GRID,
-        )
-
-    def G(t):
-        return np.exp(-(t**2) / (4.0 * EPS)) / np.sqrt(2.0 * EPS)
-
-    def dG(t):  # transform of u * e^{-eps u^2} over the plain Gaussian's
-        return (-1j * t / (2.0 * EPS)) * G(t)
-
-    def d2G(t):  # transform of u^2 * e^{-eps u^2}
-        return (1.0 / (2.0 * EPS) - t**2 / (4.0 * EPS**2)) * G(t)
-
-    damp = lambda x, p: np.exp(-EPS * (x**2 + p**2))
-    table: dict[str, tuple[Callable, Callable]] = {
-        "x": (lambda x, p: x * damp(x, p), lambda a, b: dG(a) * G(b)),
-        "p": (lambda x, p: p * damp(x, p), lambda a, b: G(a) * dG(b)),
-        "x2": (lambda x, p: x**2 * damp(x, p), lambda a, b: d2G(a) * G(b)),
-        "p2": (lambda x, p: p**2 * damp(x, p), lambda a, b: G(a) * d2G(b)),
-        "xp": (lambda x, p: x * p * damp(x, p), lambda a, b: dG(a) * dG(b)),
-        "x2p2": (
-            lambda x, p: (x**2 + p**2) * damp(x, p),
-            lambda a, b: d2G(a) * G(b) + G(a) * d2G(b),
-        ),
+        # e^{-k^2/4} < 1e-16 past k = 12.1 and e^{-r^2} < 1e-16 past r = 6.1
+        return PhaseSpaceFunction("gauss", lambda x, p: np.exp(-(x**2) - p**2), 12.0, 6.5)
+    table: dict[str, Callable] = {
+        "x": lambda x, p: x,
+        "p": lambda x, p: p,
+        "x2": lambda x, p: x**2,
+        "p2": lambda x, p: p**2,
+        "xp": lambda x, p: x * p,
+        "x2p2": lambda x, p: x**2 + p**2,
     }
     if name not in table:
         raise PreconditionError(f"unknown symbol {name!r} (have x, p, x2, p2, xp, x2p2, gauss)")
-    ev, tr = table[name]
-    return PhaseSpaceFunction(name, ev, tr, POLYNOMIAL_GRID)
+    return PhaseSpaceFunction(name, table[name])
 
 
 def oscillator_matrices(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -170,71 +146,66 @@ def displacement(alpha: float, beta: float, N: int, hbar: float = 1.0) -> np.nda
     return D
 
 
-def _ring_sums(g: PhaseSpaceFunction, N: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """The distinct lattice radii R = i^2 + j^2 of g's kept quadrature nodes,
-    the dual spacing h, and i^d S_d(R) for d < N as (N, 2, len(R)) (re, im).
+def _ring_sums(g: PhaseSpaceFunction, N: int, hbar: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """The distinct lattice radii R of g's kept quadrature nodes, the spacing
+    h, and S_d(R) / (pi hbar) for d < N as an (N, len(R)) array.
 
-    Nodes with |ghat| below PRUNE * max|ghat| are dropped.  On the square grid
-    e^{i phi} = (i + ij)/|i + ij|, so the phases come from repeated
-    multiplication and the sums from np.bincount, with no exponential per node.
+    With a = 2i + 1 and b = 2j + 1 the node (a, b) h / 2 has e^{-i phi} =
+    (a - ib)/|a - ib|, so the phases come from repeated multiplication and,
+    with the nodes sorted by R, the sums from np.add.reduceat, with no
+    exponential per node.  g is evaluated on the disc's nodes only, not on
+    the square around it.
     """
-    dual = g.quad_grid.dual()
-    if dual.gx != dual.gp:
-        raise PreconditionError(f"weyl_quantize[{g.label}] needs a square quadrature grid")
-    gh = g.transform(*dual.meshgrid())
-    mags = np.abs(gh)
-    peak = mags.max()
-    edge = max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max())
-    if peak > 0 and edge > 1e-10 * peak:
-        warnings.warn(
-            f"weyl_quantize[{g.label}]: ghat not decayed on the dual window "
-            f"(edge/max = {edge / peak:.2e}); enlarge the grid",
-            stacklevel=3,
-        )
-    keep = mags > PRUNE * peak
-    h = dual.gx.spacing
-    wp = gh[keep] * (h * h / (2 * np.pi)) + 0j
-    gh = mags = None  # release the grid-sized arrays before the per-node ones
-    i, j = np.array(np.nonzero(keep)) - dual.gx.n // 2  # the dual lattice holds 0 at n // 2
-    rad, inv = np.unique(i * i + j * j, return_inverse=True)
-    z = i + 1j * j
-    step = np.divide(1j * z, np.abs(z), out=np.ones_like(z), where=z != 0)  # i e^{i phi}
-    S = np.empty((N, 2, rad.size))
+    k = 2 * math.sqrt((2 * N + 1) / hbar) + 12 / math.sqrt(hbar) + g.band
+    h = 2 * math.pi / k
+    L = min(math.sqrt((2 * N + 1) * hbar) + 5 * math.sqrt(hbar), g.support)
+    K = math.ceil(L / h)
+    a = np.arange(1 - 2 * K, 2 * K, 2)
+    i, j = np.nonzero(a[:, None] ** 2 + a**2 <= (2 * L / h) ** 2)
+    a, b = a[i], a[j]
+    w = g.evaluate(a * (h / 2), b * (h / 2))
+    keep = np.abs(w) > 1e-16 * np.abs(w).max()
+    a, b, w = a[keep], b[keep], w[keep]
+    order = np.argsort(a * a + b * b, kind="stable")
+    a, b, w = a[order], b[order], w[order]
+    R = a * a + b * b
+    first = np.flatnonzero(np.diff(R, prepend=-1))  # where each radius starts
+    z = a - 1j * b
+    step = z / np.abs(z)  # e^{-i phi}; no node is at the origin
+    wp = w * (h * h / (np.pi * hbar)) + 0j
+    S = np.empty((N, first.size), dtype=complex)
     for d in range(N):
-        S[d, 0] = np.bincount(inv, wp.real, rad.size)
-        S[d, 1] = np.bincount(inv, wp.imag, rad.size)
+        S[d] = np.add.reduceat(wp, first)
         wp *= step
-    return rad, h, S
+    return R[first], h, S
 
 
 def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarray:
-    """Quantize one symbol on its quadrature grid with the closed-form
-    displacement elements, summed per lattice radius (module docstring).
+    """Quantize one symbol by the phase-space midpoint rule against the
+    closed-form W_{|n+d><n|}, summed per lattice radius (module docstring).
 
-    t_R = hbar h^2 R / 2.  The radii are contracted with numpy reductions,
-    CHUNK at a time, and the rows above the diagonal are the conjugates, so G
-    is Hermitian.  With no BLAS product, the bits do not depend on the BLAS
-    thread count.
+    The radii are contracted with numpy reductions, CHUNK at a time, and the
+    rows below the diagonal are the conjugates, so G is Hermitian bit for
+    bit.  With no BLAS product, the bits do not depend on the BLAS thread
+    count.
     """
     if N < 2:
         raise PreconditionError(f"truncation needs N >= 2, got {N}")
-    rad, h, S = _ring_sums(g, N)
-    t = hbar * h * h / 2 * rad
-    T = np.zeros((N, N, 2))  # T[n, d] = G_{n+d,n} as (re, im)
+    if (math.sqrt(2 * N + 1) + 5) ** 2 > 708:  # the grid's t / 2: e^{-t/2} underflows past it
+        raise PreconditionError(f"weyl_quantize needs N <= 232, got {N}: the Laguerre start underflows")
+    rad, h, S = _ring_sums(g, N, hbar)
+    t = h * h / (2 * hbar) * rad
+    T = np.zeros((N, N), dtype=complex)  # T[n, d] = <n|G|n+d>
     for r0 in range(0, rad.size, CHUNK):
         c = slice(r0, r0 + CHUNK)
         for n, row in enumerate(_laguerre_rows(N, t[c])):
-            T[n, : N - n] += (row[:, None, :] * S[: N - n, :, c]).sum(axis=2)
-    m, n = np.tril_indices(N)
-    L = np.zeros((N, N), dtype=complex)
-    L[m, n] = T.view(complex)[n, m - n, 0]
-    L[np.diag_indices(N)] /= 2  # so the diagonal of L + L^dag is exactly real
-    return L + L.conj().T
-
-
-def interior_block(M: np.ndarray) -> np.ndarray:
-    h = M.shape[0] // 2
-    return M[:h, :h]
+            T[n, : N - n] += (row * S[: N - n, c]).sum(axis=1)
+    T[1::2] *= -1  # (-1)^n
+    n, m = np.triu_indices(N)
+    U = np.zeros((N, N), dtype=complex)
+    U[n, m] = T[n, m - n]
+    U[np.diag_indices(N)] /= 2  # so the diagonal of U + U^dag is exactly real
+    return U + U.conj().T
 
 
 def moyal_expectation_check(

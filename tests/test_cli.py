@@ -564,6 +564,41 @@ def test_unusable_out_or_values_exits_1_with_one_line(tmp_path, capsys, argv, ou
         assert out.read_text() == "kept\n"
 
 
+def test_weyl_check_refuses_a_dim_where_the_laguerre_start_underflows(tmp_path, capsys):
+    code = main(["weyl-check", "--g", "x2p2", "--state", "hermite:0", "--dim", "300", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "N <= 232" in lines[0]
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # the parser is built once; a usage error after a successful call still
+    # exits 2, and calls in sequence print what fresh processes print
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["weyl-check", "--g", "xp", "--state", "hermite:1", "--dim", "12"],
+        ["spin", "--state", "1,0", "--t", "0.5"],
+    ]
+    in_process = []
+    for k, argv in enumerate(calls):
+        assert main(argv + ["--out", str(tmp_path / f"in{k}")]) == 0
+        in_process.append(capsys.readouterr().out)
+    assert main(["negativity", "--out", str(tmp_path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["spin", "--state", "1,0", "--dim", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    src = str(Path(quasiprob.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for k, argv in enumerate(calls):
+        proc = subprocess.run([sys.executable, "-m", "quasiprob", *argv, "--out", str(tmp_path / f"fresh{k}")],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == in_process[k]
+
+
 def test_negativity_requires_exactly_one_source(capsys, tmp_path):
     assert main(["negativity", "--out", str(tmp_path)]) == 2
     # --values is the one source; argparse rejects --state as an unknown flag

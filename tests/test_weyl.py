@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from quasiprob.numerics import Grid1D, Grid2D, PreconditionError, square_grid
+from quasiprob.numerics import PreconditionError
 from quasiprob.states import FockExpansion, fock_expansion, gaussian_state, oscillator_eigenstate
 from quasiprob.weyl import (
-    PRUNE,
     PhaseSpaceFunction,
     _ring_sums,
     displacement,
-    interior_block,
     moyal_expectation_check,
     oscillator_matrices,
     symbol,
@@ -27,36 +25,37 @@ def test_oscillator_matrices_commutator():
     X, P = oscillator_matrices(N)
     C = X @ P - P @ X
     # the canonical commutator holds away from the truncation corner
-    inner = interior_block(C)
-    assert np.max(np.abs(inner - 1j * np.eye(N // 2))) < 1e-12
+    assert np.max(np.abs(C[: N - 1, : N - 1] - 1j * np.eye(N - 1))) < 1e-12
     assert hermiticity_residual(X) < 1e-15
     assert hermiticity_residual(P) < 1e-15
 
 
 def test_oscillator_matrices_hbar():
     X, P = oscillator_matrices(N, hbar=2.0)
-    C = interior_block(X @ P - P @ X)
-    assert np.max(np.abs(C - 2j * np.eye(N // 2))) < 1e-12
+    C = (X @ P - P @ X)[: N - 1, : N - 1]
+    assert np.max(np.abs(C - 2j * np.eye(N - 1))) < 1e-12
 
 
 def test_quantize_x_is_position_matrix():
+    # X is tridiagonal, so its N x N block is the compression: no edge error
     X, _ = oscillator_matrices(N)
     M = weyl_quantize(symbol("x"), N)
-    assert np.max(np.abs(interior_block(M) - interior_block(X))) < 1e-6
-    assert hermiticity_residual(M) < 1e-10
+    assert np.max(np.abs(M - X)) < 1e-13
+    assert hermiticity_residual(M) == 0.0
 
 
 def test_quantize_x2_matches_squared_matrix():
-    X, _ = oscillator_matrices(N)
+    # the product built one state larger reaches no truncated entry
+    X, _ = oscillator_matrices(N + 1)
     M = weyl_quantize(symbol("x2"), N)
-    assert np.max(np.abs(interior_block(M) - interior_block(X @ X))) < 1e-6
+    assert np.max(np.abs(M - (X @ X)[:N, :N])) < 1e-12
 
 
 def test_quantize_xp_is_symmetrized_product():
-    X, P = oscillator_matrices(N)
+    X, P = oscillator_matrices(N + 1)
     M = weyl_quantize(symbol("xp"), N)
     sym = (X @ P + P @ X) / 2.0
-    assert np.max(np.abs(interior_block(M) - interior_block(sym))) < 1e-6
+    assert np.max(np.abs(M - sym[:N, :N])) < 1e-12
 
 
 def test_quantize_gauss_is_ground_projector():
@@ -70,24 +69,28 @@ def test_quantize_gauss_is_ground_projector():
     assert np.max(np.abs(M - ref)) < 1e-14
 
 
-@pytest.mark.parametrize("hbar", [1.0, 0.5])
-def test_quantize_matches_direct_displacement_sum(hbar):
-    # the full matrix against the quadrature summed node by node with
-    # displacement: checks the grouping by radius and the phases
-    gauss = symbol("gauss")
-    g = PhaseSpaceFunction("gauss", gauss.evaluate, gauss.transform, square_grid(-8.0, 8.0, 64))
-    n = 12
-    dual = g.quad_grid.dual()
-    A, B = dual.meshgrid()
-    gh = g.transform(A, B)
-    keep = np.abs(gh) > PRUNE * np.abs(gh).max()
-    assert keep.sum() == 2801
-    cell = dual.gx.spacing * dual.gp.spacing / (2 * np.pi)
+@pytest.mark.parametrize("name,hbar", [("gauss", 1.0), ("xp", 0.5)])
+def test_quantize_matches_direct_displaced_parity_sum(name, hbar):
+    # the full matrix against the midpoint rule summed node by node, with
+    # W_{|n><m|}(x, p) = (1/pi hbar) <m| T Pi T^dag |n> = (1/pi hbar) (-1)^n
+    # <m| T(2x, 2p) |n> for the displacement T(x, p) = e^{i(pX - xP)/hbar}
+    # and the parity Pi: no Laguerre row, lattice radius or phase recurrence
+    g, n = symbol(name), 8
+    k = 2 * np.sqrt((2 * n + 1) / hbar) + 12 / np.sqrt(hbar) + g.band
+    h = 2 * np.pi / k
+    L = min(np.sqrt((2 * n + 1) * hbar) + 5 * np.sqrt(hbar), g.support)
+    u = (np.arange(-np.ceil(L / h), np.ceil(L / h)) + 0.5) * h
+    X, P = np.meshgrid(u, u, indexing="ij")
+    disc = X**2 + P**2 <= L * L
+    x, p = X[disc], P[disc]
+    w = g.evaluate(x, p)
+    keep = np.abs(w) > 1e-16 * np.abs(w).max()
+    parity = (-1.0) ** np.arange(n)
     ref = sum(
-        w * cell * displacement(a, b, n, hbar)
-        for a, b, w in zip(A[keep], B[keep], gh[keep])
-    )
-    assert np.max(np.abs(weyl_quantize(g, n, hbar=hbar) - ref)) < 1e-13
+        wi * h * h * displacement(2 * pi / hbar, -2 * xi / hbar, n, hbar)
+        for xi, pi, wi in zip(x[keep], p[keep], w[keep])
+    ) * parity / (np.pi * hbar)
+    assert np.max(np.abs(weyl_quantize(g, n, hbar) - ref)) < 1e-13
 
 
 SYMBOLS = ("x", "p", "x2", "p2", "xp", "x2p2", "gauss")
@@ -109,37 +112,40 @@ def exact_compression(name, n, hbar):
 @pytest.mark.parametrize("name", SYMBOLS)
 def test_quantize_is_bitwise_the_dense_formula(name, n, hbar):
     # bitwise Hermitian, and over the whole matrix the dense exact
-    # compression: to rounding for gauss, to the EPS damping bias for the
-    # polynomials; n = 2 has a single off-diagonal, and 33 is odd
+    # compression to rounding; n = 2 has a single off-diagonal, and 33 is odd
     M = weyl_quantize(symbol(name), n, hbar)
     assert np.array_equal(M, M.conj().T)
-    tol = 1e-14 if name == "gauss" else 5e-5 if n < 64 else 1e-4
+    tol = 1e-14 if name == "gauss" else 1e-12
     assert np.max(np.abs(M - exact_compression(name, n, hbar))) < tol
 
 
-def test_quantize_exponential_count(monkeypatch):
-    # the gauss nodes group into 2244 lattice radii; np.exp runs on ghat over
-    # the 192^2 grid and on one Laguerre start per (d, radius), never on a
-    # complex argument
-    g = symbol("gauss")
-    dual = g.quad_grid.dual()
-    gh = g.transform(*dual.meshgrid())
-    nodes = int(np.count_nonzero(np.abs(gh) > PRUNE * np.abs(gh).max()))
-    assert nodes == 25289
-    n = 20
-    rad, _, S = _ring_sums(g, n)
-    assert rad.size == 2244
-    assert S.shape == (n, 2, 2244)
-    exp = np.exp
+@pytest.mark.parametrize("name,disc,nodes,radii", [("gauss", 4556, 3980, 361), ("xp", 6376, 6376, 560)])
+def test_quantize_exponential_count(monkeypatch, name, disc, nodes, radii):
+    # at n = 20, hbar = 1: g is evaluated on the disc's nodes only, gauss
+    # keeps those inside its support, and the kept nodes group into lattice
+    # radii; np.exp runs on g and on one Laguerre start per (d, radius),
+    # never on a complex argument
+    g, n = symbol(name), 20
+    rad, _, S = _ring_sums(g, n, 1.0)
+    assert rad.size == radii
+    assert S.shape == (n, radii)
+    exp, argsort = np.exp, np.argsort
     count = {"real": 0, "complex": 0}
+    sorted_sizes = []
 
     def counting_exp(x, *args, **kwargs):
         count["complex" if np.iscomplexobj(x) else "real"] += np.size(x)
         return exp(x, *args, **kwargs)
 
+    def counting_argsort(x, *args, **kwargs):
+        sorted_sizes.append(np.size(x))
+        return argsort(x, *args, **kwargs)
+
     monkeypatch.setattr(np, "exp", counting_exp)
+    monkeypatch.setattr(np, "argsort", counting_argsort)
     weyl_quantize(g, n)
-    assert count == {"real": 192**2 + n * 2244, "complex": 0}
+    assert sorted_sizes == [nodes]  # the kept nodes, sorted by radius
+    assert count == {"real": (disc if name == "gauss" else 0) + n * radii, "complex": 0}
 
 
 @pytest.mark.parametrize("hbar", [1e-6, 1e6])
@@ -151,18 +157,16 @@ def test_quantize_is_finite_at_extreme_hbar(name, hbar):
     assert np.isfinite(weyl_quantize(symbol(name), 20, hbar)).all()
 
 
-def test_quantize_rejects_a_non_square_grid():
-    # grouping the nodes by i^2 + j^2 needs one dual spacing on both axes
-    gauss = symbol("gauss")
-    grid = Grid2D(Grid1D(-8.0, 8.0, 64), Grid1D(-8.0, 8.0, 32))
-    with pytest.raises(PreconditionError, match="square"):
-        weyl_quantize(PhaseSpaceFunction("gauss", gauss.evaluate, gauss.transform, grid), 4)
-
-
 def test_quantize_zero_symbol_is_zero_matrix():
     # every node is pruned, so the chunk loop never runs
-    g = PhaseSpaceFunction("zero", lambda x, p: 0.0 * x, lambda a, b: 0.0 * a, square_grid(-8.0, 8.0, 64))
-    assert not weyl_quantize(g, 5).any()
+    assert not weyl_quantize(PhaseSpaceFunction("zero", lambda x, p: 0.0 * x), 5).any()
+
+
+def test_quantize_rejects_n_where_the_laguerre_start_underflows():
+    # the grid's largest t is 2 (sqrt(2N+1) + 5)^2, past 1416 from N = 233 on
+    assert weyl_quantize(symbol("gauss"), 232)[0, 0] == pytest.approx(0.5, abs=1e-14)
+    with pytest.raises(PreconditionError, match="N <= 232"):
+        weyl_quantize(symbol("x2p2"), 233)
 
 @pytest.mark.parametrize("hbar", [0.5, 2.0])
 def test_quantize_gauss_closed_form_at_hbar(hbar):
@@ -190,7 +194,7 @@ def test_displacement_ground_expectation():
 
 def test_displacement_is_unitary_inside():
     D = displacement(0.7, -1.3, 64)
-    G = interior_block(D.conj().T @ D)
+    G = (D.conj().T @ D)[:32, :32]
     assert np.max(np.abs(G - np.eye(32))) < 1e-8
 
 
