@@ -50,99 +50,93 @@ class UsageError(Exception):
 
 
 REQUIRED = object()
+STATE_HELP = "state spec (gaussian:x0,p0,sigma | hermite:n | file:PATH); for spin: c0,c1"
 
-#: (name, converter, default) triples; REQUIRED means the option must come
-#: from a flag or the config file.
-GLOBAL_OPTS = [("hbar", float, 1.0), ("out", str, ".")]
+#: (name, converter, default, help) entries; REQUIRED means the option must
+#: come from a flag or the config file, and a bool option is a switch.
+GLOBAL_OPTS = [
+    ("hbar", float, 1.0, "Planck constant (default 1.0)"),
+    ("out", str, ".", "output directory (default .)"),
+    ("config", str, None, "flat key=value config file"),
+]
 
-SUB_OPTS: dict[str, list[tuple[str, Callable, Any]]] = {
+SUB_OPTS: dict[str, list[tuple[str, Callable, Any, str]]] = {
     "wigner": [
-        ("state", str, REQUIRED),
-        ("xmin", float, -8.0),
-        ("xmax", float, 8.0),
-        ("n", int, 128),
-        ("pmin", float, None),
-        ("pmax", float, None),
-        ("pn", int, None),
+        ("state", str, REQUIRED, STATE_HELP),
+        ("xmin", float, -8.0, ""),
+        ("xmax", float, 8.0, ""),
+        ("n", int, 128, ""),
+        ("pmin", float, None, ""),
+        ("pmax", float, None, ""),
+        ("pn", int, None, ""),
     ],
     "charfn": [
-        ("state", str, REQUIRED),
-        ("amin", float, -4.0),
-        ("amax", float, 4.0),
-        ("n", int, 64),
+        ("state", str, REQUIRED, STATE_HELP),
+        ("amin", float, -4.0, ""),
+        ("amax", float, 4.0, ""),
+        ("n", int, 64, ""),
     ],
     "marginal": [
-        ("state", str, REQUIRED),
-        ("theta", float, REQUIRED),
-        ("zmin", float, -12.0),
-        ("zmax", float, 12.0),
-        ("zn", int, 192),
+        ("state", str, REQUIRED, STATE_HELP),
+        ("theta", float, REQUIRED, "direction angle in radians; the marginal of cos(theta) x + sin(theta) p"),
+        ("zmin", float, -12.0, ""),
+        ("zmax", float, 12.0, ""),
+        ("zn", int, 192, ""),
     ],
     "tomo": [
-        ("state", str, REQUIRED),
-        ("ndirs", int, 64),
+        ("state", str, REQUIRED, STATE_HELP),
+        ("ndirs", int, 64, "number of equally spaced directions"),
     ],
     "tamper": [
-        ("state", str, "gaussian:0,0,1"),
-        ("kind", str, REQUIRED),
-        ("c", float, 0.05),
-        ("half_width", float, 1.5),
-        ("half_height", float, 1.5),
-        ("a", float, 1.0),
-        ("b", float, 1.0),
-        ("tol", float, 1e-3),
+        ("state", str, "gaussian:0,0,1", STATE_HELP),
+        ("kind", str, REQUIRED, "which marginal-preserving modification: rect | smooth"),
+        ("c", float, 0.05, ""),
+        ("half_width", float, 1.5, ""),
+        ("half_height", float, 1.5, ""),
+        ("a", float, 1.0, ""),
+        ("b", float, 1.0, ""),
+        ("tol", float, 1e-3, "flag the modification when the worst oblique residual exceeds this (default 1e-3)"),
     ],
     "weyl-check": [
-        ("state", str, REQUIRED),
-        ("g", str, REQUIRED),
-        ("dim", int, 64),
-        ("dump_matrix", bool, False),
+        ("state", str, REQUIRED, STATE_HELP),
+        ("g", str, REQUIRED, "symbol to quantize: x | p | x2 | p2 | xp | x2p2 | gauss"),
+        ("dim", int, 64, "oscillator-basis truncation"),
+        ("dump_matrix", bool, False, "also write the quantized operator as CSV"),
     ],
     "spin": [
-        ("state", str, REQUIRED),
-        ("t", str, "feynman"),
+        ("state", str, REQUIRED, STATE_HELP),
+        ("t", str, "feynman", "family parameter: a number, 'feynman' (= <Y>) or 'neg-feynman' (= -<Y>)"),
     ],
     "negativity": [
-        ("values", str, REQUIRED),
+        ("values", str, REQUIRED, "comma-separated outcome weights for discrete negativity"),
     ],
     "verify": [],
 }
+
+#: config-file spellings of a bool option, matched case-insensitively
+CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+#: phase-space grid of tomo and tamper
+TOMO_GRID = square_grid(-8.0, 8.0, 128)
+
+
+def _add_options(parser: argparse.ArgumentParser, opts: list[tuple[str, Callable, Any, str]]) -> None:
+    """One flag per entry; an absent flag leaves no attribute, so resolve_options can fall back."""
+    for name, conv, _default, text in opts:
+        kind = {"action": "store_true"} if conv is bool else {"type": conv}
+        parser.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS, help=text, **kind)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=argparse.SUPPRESS, help="Planck constant (default 1.0)")
-    common.add_argument("--out", type=str, default=argparse.SUPPRESS, help="output directory (default .)")
-    common.add_argument("--config", type=str, default=argparse.SUPPRESS, help="flat key=value config file")
-
+    _add_options(common, GLOBAL_OPTS)
     p = argparse.ArgumentParser(prog="quasiprob", parents=[common],
                                 description="Quasi-probability distributions of 1-D quantum states")
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    flag_help = {
-        "state": "state spec (gaussian:x0,p0,sigma | hermite:n | file:PATH); for spin: c0,c1",
-        "theta": "direction angle in radians; the marginal of cos(theta) x + sin(theta) p",
-        "ndirs": "number of equally spaced directions",
-        "kind": "which marginal-preserving modification: rect | smooth",
-        "g": "symbol to quantize: x | p | x2 | p2 | xp | x2p2 | gauss",
-        "dim": "oscillator-basis truncation",
-        "t": "family parameter: a number, 'feynman' (= <Y>) or 'neg-feynman' (= -<Y>)",
-        "values": "comma-separated outcome weights for discrete negativity",
-        "dump_matrix": "also write the quantized operator as CSV",
-        "tol": "flag the modification when the worst oblique residual exceeds this (default 1e-3)",
-    }
     for name, opts in SUB_OPTS.items():
-        sp = sub.add_parser(name, parents=[common], help=HANDLERS[name].__doc__)
-        for opt, conv, _default in opts:
-            flag = "--" + opt.replace("_", "-")
-            if conv is bool:
-                sp.add_argument(flag, action="store_true", default=argparse.SUPPRESS,
-                                help=flag_help.get(opt, ""))
-            else:
-                sp.add_argument(flag, type=conv, default=argparse.SUPPRESS,
-                                help=flag_help.get(opt, ""))
+        _add_options(sub.add_parser(name, parents=[common], help=HANDLERS[name].__doc__), opts)
     return p
 
 
@@ -166,13 +160,13 @@ def parse_config(path: str) -> dict[str, str]:
 def resolve_options(ns: argparse.Namespace, conf: dict[str, str]) -> dict[str, Any]:
     """Apply flag > config > default for the globals plus the subcommand's options."""
     merged: dict[str, Any] = {"subcommand": ns.subcommand}
-    for name, conv, default in GLOBAL_OPTS + SUB_OPTS[ns.subcommand]:
+    for name, conv, default, _text in GLOBAL_OPTS + SUB_OPTS[ns.subcommand]:
         if hasattr(ns, name):
             merged[name] = getattr(ns, name)
         elif name in conf:
             try:
-                merged[name] = (conf[name].lower() in ("1", "true", "yes")) if conv is bool else conv(conf[name])
-            except ValueError as e:
+                merged[name] = CONFIG_BOOLS[conf[name].lower()] if conv is bool else conv(conf[name])
+            except (KeyError, ValueError) as e:
                 raise PreconditionError(f"config value {name}={conf[name]!r} is not a valid {conv.__name__}") from e
         else:
             merged[name] = default
@@ -316,15 +310,14 @@ def cmd_tomo(o: dict) -> dict:
     ndirs = o["ndirs"]
     if ndirs < 2:
         raise PreconditionError(f"tomo needs at least 2 directions, got {ndirs}")
-    grid = square_grid(-8.0, 8.0, 128)
     zgrid = Grid1D(-32.0, 32.0, 512)
     fock = fock_expansion(psi)  # one search serves the fan and the probes
     margs = quantum_marginal(fock, fan(ndirs), zgrid)
     for m in margs:
         _require_unit("marginal integral", m.integral())
-    rec = reconstruct_from_marginals(margs, grid)
-    ref = wigner_transform(psi, grid)
-    l2 = float(np.sqrt(np.sum((rec.values - ref.values) ** 2) * grid.gx.spacing * grid.gp.spacing))
+    rec = reconstruct_from_marginals(margs, TOMO_GRID)
+    ref = wigner_transform(psi, TOMO_GRID)
+    l2 = float(np.sqrt(np.sum((rec.values - ref.values) ** 2) * TOMO_GRID.gx.spacing * TOMO_GRID.gp.spacing))
     probes = [k * np.pi / min(ndirs, 16) for k in range(min(ndirs, 16))]
     with warnings.catch_warnings():
         # probing the reconstruction: its marginals carry the (reported)
@@ -348,8 +341,7 @@ def cmd_tomo(o: dict) -> dict:
 def cmd_tamper(o: dict) -> dict:
     """modify a distribution without touching the x/p marginals, then catch it"""
     psi = parse_state(o["state"], o["hbar"])
-    grid = square_grid(-8.0, 8.0, 128)
-    f = wigner_transform(psi, grid)
+    f = wigner_transform(psi, TOMO_GRID)
     if o["kind"] == "rect":
         mod = rectangle_modification(f, o["half_width"], o["half_height"], o["c"])
     elif o["kind"] == "smooth":
@@ -479,7 +471,3 @@ def main(argv: list[str] | None = None) -> int:
     if ns.subcommand == "verify":
         return 0 if report["ok"] else 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

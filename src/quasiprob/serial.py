@@ -62,24 +62,18 @@ def write_csv(path: str | Path, header: tuple[str, ...], *columns) -> None:
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
-def write_sampled_csv(
-    path: str | Path, sf: SampledFunction1D, kind: str = "wavefunction", sidecar: dict | None = None
-) -> None:
+def write_sampled_csv(path: str | Path, sf: SampledFunction1D) -> None:
     """Complex samples as (index, coordinate, re, im) plus a JSON sidecar.
 
-    The sidecar (same name with .json appended) records the grid and kind so
-    a reader does not have to re-infer the lattice from the coordinates.
+    The sidecar (same name with .json appended) records the grid and the
+    kind "wavefunction", so a reader does not have to re-infer the lattice
+    from the coordinates.
     """
     path = Path(path)
     vals = np.asarray(sf.values, dtype=complex)
     write_csv(path, ("index", "coordinate", "re", "im"), np.arange(sf.grid.n), sf.grid.points, vals.real, vals.imag)
-    meta = {
-        "kind": kind,
-        "grid": {"min": sf.grid.min, "max": sf.grid.max, "n": sf.grid.n},
-    }
-    if sidecar:
-        meta.update(sidecar)
-    write_json(path.with_suffix(path.suffix + ".json"), meta)
+    grid = {"min": sf.grid.min, "max": sf.grid.max, "n": sf.grid.n}
+    write_json(path.with_suffix(path.suffix + ".json"), {"kind": "wavefunction", "grid": grid})
 
 
 def read_sampled_csv(path: str | Path) -> SampledFunction1D:

@@ -8,8 +8,8 @@ value in the report is the measured Wigner-transform runtime.
 
 from __future__ import annotations
 
+import operator
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,27 +33,6 @@ from .wigner import (
     wigner_from_characteristic,
     wigner_transform,
 )
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    value: float
-    tol: float
-
-
-class _Suite:
-    def __init__(self):
-        self.checks: list[Check] = []
-
-    def le(self, name: str, value: float, tol: float) -> None:
-        self.checks.append(Check(name, bool(value <= tol), float(value), float(tol)))
-
-    def gt(self, name: str, value: float, threshold: float) -> None:
-        self.checks.append(Check(name, bool(value > threshold), float(value), float(threshold)))
-
-    def ge(self, name: str, value: float, bound: float) -> None:
-        self.checks.append(Check(name, bool(value >= bound), float(value), float(bound)))
 
 
 def moyal_table(N: int, states: list[tuple[str, WaveFunction, FockExpansion]]) -> list[tuple[str, str, float, float, float]]:
@@ -79,7 +58,11 @@ def _bump_distribution(grid: Grid2D) -> QuasiDistribution:
 
 
 def run_verify() -> dict:
-    s = _Suite()
+    checks: list[dict] = []
+
+    def check(name: str, value: float, bound: float, passes=operator.le) -> None:
+        checks.append({"name": name, "ok": bool(passes(value, bound)), "value": float(value), "tol": float(bound)})
+
     t_start = time.perf_counter()
 
     psi0 = oscillator_eigenstate(0)
@@ -91,7 +74,7 @@ def run_verify() -> dict:
     g_off = Grid1D(-3.7, 9.1, 200)
     v = np.exp(-((g_off.points - 2.0) ** 2)).astype(complex)
     rt = ft_core(ft_core(v, g_off, g_off.dual(), -1), g_off.dual(), g_off, +1)
-    s.le("transform-roundtrip-offset-grid", float(np.abs(rt - v).max()), 1e-12)
+    check("transform-roundtrip-offset-grid", float(np.abs(rt - v).max()), 1e-12)
 
     # Wigner of the ground state: closed form, runtime
     big = square_grid(-6.0, 6.0, 256)
@@ -99,15 +82,15 @@ def run_verify() -> dict:
     f0 = wigner_transform(psi0, big)
     wig_time = time.perf_counter() - t0
     X, P = big.meshgrid()
-    s.le("wigner-ground-max-dev", float(np.abs(f0.values - np.exp(-X**2 - P**2) / np.pi).max()), 1e-7)
-    s.le("wigner-ground-runtime-s", wig_time, 5.0)
+    check("wigner-ground-max-dev", float(np.abs(f0.values - np.exp(-X**2 - P**2) / np.pi).max()), 1e-7)
+    check("wigner-ground-runtime-s", wig_time, 5.0)
 
     # Wigner of the first excited state: origin value and negative mass
     f1 = wigner_transform(psi1, big)
     i0 = int(np.argmin(np.abs(big.gx.points)))
     j0 = int(np.argmin(np.abs(big.gp.points)))
-    s.le("wigner-excited-origin-dev", float(abs(f1.values[i0, j0] + 1.0 / np.pi)), 1e-6)
-    s.gt("wigner-excited-negativity", negative_volume(f1), 0.0)
+    check("wigner-excited-origin-dev", float(abs(f1.values[i0, j0] + 1.0 / np.pi)), 1e-6)
+    check("wigner-excited-negativity", negative_volume(f1), 0.0, operator.gt)
 
     # Wigner of hermite:3 at hbar != 1 against Groenewold's closed form
     # (-1)^n e^{-r^2/hbar} L_n(2 r^2/hbar) / (pi hbar); W is below rounding
@@ -121,23 +104,23 @@ def run_verify() -> dict:
         t = 2 * r3 / hbar
         ref = -np.exp(-t / 2) * (1 - 3 * t + 1.5 * t**2 - t**3 / 6) / (np.pi * hbar)
         dev = max(dev, float(np.abs(wigner_transform(oscillator_eigenstate(3, hbar), g3).values - ref).max()))
-    s.le("wigner-hermite3-hbar-dev", dev, 1e-12)
+    check("wigner-hermite3-hbar-dev", dev, 1e-12)
 
     # characteristic function closed forms (ground state, shifted packet)
     probe = np.linspace(-2.0, 2.0, 9)
     A, B = np.meshgrid(probe, probe, indexing="ij")
     cf = characteristic_function(psi0, probe, probe)
-    s.le("charfn-ground-max-dev", float(np.abs(cf - np.exp(-(A**2 + B**2) / 4.0)).max()), 1e-8)
+    check("charfn-ground-max-dev", float(np.abs(cf - np.exp(-(A**2 + B**2) / 4.0)).max()), 1e-8)
     cfc = characteristic_function(coh, probe, probe)
     exact = np.exp(-1j * (A * 2.0 + B * 3.0)) * np.exp(-(A**2 + B**2) / 4.0)
-    s.le("charfn-coherent-phase-dev", float(np.abs(cfc - exact).max()), 1e-8)
+    check("charfn-coherent-phase-dev", float(np.abs(cfc - exact).max()), 1e-8)
 
     # the uniqueness proof's constructive step: f is the inverse transform of
     # its characteristic function (excited state, against the closed form)
     fi = wigner_from_characteristic(psi1, square_grid(-12.0, 12.0, 64))
     Xi, Pi = fi.grid.meshgrid()
     ri = Xi**2 + Pi**2
-    s.le("charfn-inversion-excited-max-dev", float(np.abs(fi.values - (2 * ri - 1) * np.exp(-ri) / np.pi).max()), 1e-10)
+    check("charfn-inversion-excited-max-dev", float(np.abs(fi.values - (2 * ri - 1) * np.exp(-ri) / np.pi).max()), 1e-10)
 
     # slice identity on Wigner and non-Wigner distributions
     mid = square_grid(-8.0, 8.0, 128)
@@ -151,7 +134,7 @@ def run_verify() -> dict:
         verify_j2m(bump, DirectionAB(0.6, 0.8)),
         verify_j2m(bump, DirectionAB(0.92, -0.38)),
     )
-    s.le("slice-identity-max-residual", j2m, 1e-6)
+    check("slice-identity-max-residual", j2m, 1e-6)
 
     # marginals agree with the state's own measurement statistics
     gc = square_grid(-10.0, 10.0, 160)
@@ -160,7 +143,7 @@ def run_verify() -> dict:
     worst = max(
         float(direction_residuals(f, fock, eighths).max()) for f, fock in ((w0, fock0), (w1, fock1), (wc, fockc))
     )
-    s.le("marginal-match-max", worst, 1e-6)
+    check("marginal-match-max", worst, 1e-6)
 
     # reconstruction from 64 directions
     zrec = Grid1D(-32.0, 32.0, 512)
@@ -168,7 +151,7 @@ def run_verify() -> dict:
         margs = quantum_marginal(fock, fan(64), zrec)
         rec = reconstruct_from_marginals(margs, mid)
         l2 = float(np.sqrt(np.sum((rec.values - f_ref.values) ** 2) * mid.gx.spacing * mid.gp.spacing))
-        s.le(f"reconstruction-{name}-l2", l2, tol)
+        check(f"reconstruction-{name}-l2", l2, tol)
 
     # marginal-preserving modifications: axis-blind, oblique-visible
     for name, mod in (
@@ -176,8 +159,8 @@ def run_verify() -> dict:
         ("smooth", smooth_modification(w0, 1.0, 1.0, 0.1)),
     ):
         res = direction_residuals(mod, fock0, [0.0, np.pi / 2, np.pi / 4])
-        s.le(f"tamper-{name}-axis-max", float(res[:2].max()), 1e-9)
-        s.gt(f"tamper-{name}-oblique-residual", float(res[2]), 1e-3)
+        check(f"tamper-{name}-axis-max", float(res[:2].max()), 1e-9)
+        check(f"tamper-{name}-oblique-residual", float(res[2]), 1e-3, operator.gt)
 
     # symmetric ordering of xp at the matrix level: the whole matrix against
     # (XP+PX)/2 built at N + 2, whose top-left block reaches no truncated entry
@@ -185,7 +168,7 @@ def run_verify() -> dict:
     Xm, Pm = oscillator_matrices(N + 2)
     G = weyl_quantize(symbol("xp"), N)
     ref = (Xm @ Pm + Pm @ Xm) / 2.0
-    s.le("weyl-xp-interior-dev", float(np.abs(G - ref[:N, :N]).max()), 1e-12)
+    check("weyl-xp-interior-dev", float(np.abs(G - ref[:N, :N]).max()), 1e-12)
 
     # e^{-x^2-p^2} quantizes to the diagonal ((1-hbar)/(1+hbar))^n / (1+hbar)
     # at any hbar (it is (1/2)|0><0| at hbar = 1)
@@ -193,7 +176,7 @@ def run_verify() -> dict:
     for hbar in (0.5, 2.0):
         exact = ((1 - hbar) / (1 + hbar)) ** np.arange(20) / (1 + hbar)
         dev = max(dev, float(np.abs(np.diag(weyl_quantize(symbol("gauss"), 20, hbar)) - exact).max()))
-    s.le("weyl-gauss-hbar-dev", dev, 1e-12)
+    check("weyl-gauss-hbar-dev", dev, 1e-12)
 
     # <e^{-i(aX+bP)}> two ways at hbar != 1: sandwiched between the state's
     # oscillator coefficients, and by the split-form quadrature
@@ -205,11 +188,11 @@ def run_verify() -> dict:
                 for b in (-1.5, 1.0):
                     matrix_side = np.conj(c) @ displacement(-a, -b, c.size, hbar) @ c
                     dev = max(dev, abs(matrix_side - characteristic_function(psi, a, b)[0, 0]))
-    s.le("displacement-charfn-dev", float(dev), 1e-12)
+    check("displacement-charfn-dev", float(dev), 1e-12)
 
     # expectation equality for six symbols and three states
     table = moyal_table(64, [("ground", psi0, fock0), ("excited", psi1, fock1), ("coherent(2,3)", coh, fockc)])
-    s.le("moyal-max-diff", max(row[4] for row in table), 1e-4)
+    check("moyal-max-diff", max(row[4] for row in table), 1e-4)
 
     # spin family: frozen values, window, negativity flip, spectrum mismatch
     sq2 = float(np.sqrt(2.0))
@@ -219,22 +202,22 @@ def run_verify() -> dict:
         max(abs(u - 0.25) for u in quasi_family(0.0, 0.0, 0.0).components),
         abs(quasi_family(r, r, 0.0).fmm - (1.0 - sq2) / 4.0),
     )
-    s.le("spin-family-frozen-dev", dev, 1e-15)
+    check("spin-family-frozen-dev", dev, 1e-15)
 
     grid01 = np.linspace(-1.0, 1.0, 101)
     width = min(nonneg_window(z, x)[1] - nonneg_window(z, x)[0] for z in grid01 for x in grid01)
     # exact width is 2 - |Z+X| - |Z-X| >= 0, degenerate on the square's
     # edges; the float evaluation can land a few ulps below zero there
-    s.ge("spin-window-min-width", width, -1e-13)
+    check("spin-window-min-width", width, -1e-13, operator.ge)
     wlo, whi = nonneg_window(r, r)
-    s.le("spin-window-diag-dev", max(abs(wlo - (sq2 - 1.0)), abs(whi - 1.0)), 1e-15)
+    check("spin-window-diag-dev", max(abs(wlo - (sq2 - 1.0)), abs(whi - 1.0)), 1e-15)
 
     st = SpinState(float(np.cos(np.pi / 8)), float(np.sin(np.pi / 8)))
     fey = feynman_choice(st)
-    s.le("spin-pi8-t-dev", abs(fey.t), 1e-15)
-    s.le("spin-pi8-fmm-dev", abs(fey.fmm - (1.0 - sq2) / 4.0), 1e-15)
-    s.gt("spin-pi8-has-negative", -fey.fmm, 0.0)
-    s.ge("spin-pi8-t07-min-component", min(feynman_choice(st, 0.7).components), 0.0)
+    check("spin-pi8-t-dev", abs(fey.t), 1e-15)
+    check("spin-pi8-fmm-dev", abs(fey.fmm - (1.0 - sq2) / 4.0), 1e-15)
+    check("spin-pi8-has-negative", -fey.fmm, 0.0, operator.gt)
+    check("spin-pi8-t07-min-component", min(feynman_choice(st, 0.7).components), 0.0, operator.ge)
 
     rep = zx_sum_spectrum_report(fey)
     zx_dev = max(
@@ -242,16 +225,16 @@ def run_verify() -> dict:
         float(np.abs(np.array(rep["eigenvalues"]) - np.array([-sq2, sq2])).max()),
         0.0 if rep["mismatch"] else 1.0,
     )
-    s.le("spin-zx-report-dev", zx_dev, 1e-12)
+    check("spin-zx-report-dev", zx_dev, 1e-12)
 
     # discrete negativity of the four-outcome example
-    s.le("negativity-discrete-dev", abs(negative_volume([0.6, -0.1, 0.3, 0.2]) - 0.1), 0.0)
+    check("negativity-discrete-dev", abs(negative_volume([0.6, -0.1, 0.3, 0.2]) - 0.1), 0.0)
 
     elapsed = time.perf_counter() - t_start
     return {
         "kind": "verify-report",
-        "ok": all(c.ok for c in s.checks),
-        "checks": [asdict(c) for c in s.checks],
+        "ok": all(c["ok"] for c in checks),
+        "checks": checks,
         "elapsed_s": elapsed,
     }
 

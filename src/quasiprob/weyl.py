@@ -195,15 +195,11 @@ def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarra
         raise PreconditionError(f"weyl_quantize needs N <= 232, got {N}: the Laguerre start underflows")
     rad, h, S = _ring_sums(g, N, hbar)
     t = h * h / (2 * hbar) * rad
-    T = np.zeros((N, N), dtype=complex)  # T[n, d] = <n|G|n+d>
+    U = np.zeros((N, N), dtype=complex)  # the upper triangle, U[n, n + d] = <n|G|n+d>
     for r0 in range(0, rad.size, CHUNK):
         c = slice(r0, r0 + CHUNK)
         for n, row in enumerate(_laguerre_rows(N, t[c])):
-            T[n, : N - n] += (row * S[: N - n, c]).sum(axis=1)
-    T[1::2] *= -1  # (-1)^n
-    n, m = np.triu_indices(N)
-    U = np.zeros((N, N), dtype=complex)
-    U[n, m] = T[n, m - n]
+            U[n, n:] += (-1) ** n * (row * S[: N - n, c]).sum(axis=1)
     U[np.diag_indices(N)] /= 2  # so the diagonal of U + U^dag is exactly real
     return U + U.conj().T
 

@@ -542,6 +542,19 @@ def test_subcommand_help_lines(monkeypatch):
         assert "\n    " + line + "\n" in text
 
 
+def test_full_help_text_at_80_columns(monkeypatch, capsys):
+    # every option's help string, pinned with argparse's wrapping at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    text = ""
+    for argv in [[], ["wigner"], ["charfn"], ["marginal"], ["tomo"], ["tamper"], ["weyl-check"], ["spin"],
+                 ["negativity"], ["verify"]]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        text += "$ quasiprob " + " ".join(argv + ["--help"]) + "\n" + capsys.readouterr().out
+    assert text == (Path(__file__).parent / "help_at_80_columns.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv, out_is_file",
     [
@@ -662,3 +675,59 @@ def test_non_finite_input_exits_1(tmp_path, capsys, argv, conf):
     assert len(lines) == 1 and lines[0].startswith("error:")
     for f in out.rglob("*"):
         assert "nan" not in f.read_text().lower()
+
+
+@pytest.mark.parametrize("value, dumped", [("1", True), ("TRUE", True), ("yes", True),
+                                           ("0", False), ("False", False), ("NO", False)])
+def test_config_bool_spellings(tmp_path, capsys, value, dumped):
+    (tmp_path / "run.conf").write_text(f"dump_matrix={value}\n")
+    argv = ["weyl-check", "--g", "x", "--state", "hermite:0", "--dim", "8", "--config", str(tmp_path / "run.conf")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "weyl_matrix.csv").exists() == dumped
+
+
+@pytest.mark.parametrize(
+    "argv, files, reason",
+    [
+        (["wigner", "--state", "hermite:x"], {}, "expected hermite:n with integer n"),
+        (["wigner", "--state", "hermite:-1"], {}, "level must be >= 0"),
+        (["wigner", "--state", "file:"], {}, "expected file:PATH"),
+        (["wigner", "--state", "foo:1"], {}, "unknown state kind 'foo'"),
+        (["spin", "--state", "1"], {}, "expected two comma-separated amplitudes"),
+        (["wigner", "--state", "hermite:0", "--n", "1"], {}, "x grid: grid needs n >= 2"),
+        (["charfn", "--state", "hermite:0", "--amin", "1", "--amax", "1"], {}, "alpha grid: grid needs min < max"),
+        (["tamper", "--kind", "bogus"], {}, "tamper kind must be rect or smooth"),
+        (["tamper", "--kind", "rect", "--half-width", "20"], {}, "rectangle exceeds the grid"),
+        (["tamper", "--kind", "rect", "--half-width", "-1"], {}, "rectangle half-sizes must be positive"),
+        (["tamper", "--kind", "smooth", "--a", "-1"], {}, "decay rates a, b must be positive"),
+        (["marginal", "--theta", "0.3", "--state", "file:{d}/s.csv"],
+         {"s.csv": "index,coordinate,re,im\n0,-4.0,0.1,0.0\n"}, "need at least 2 samples, got 1"),
+        (["marginal", "--theta", "0.3", "--state", "file:{d}/s.csv"],
+         {"s.csv": "index,coordinate,re,im\n" + SAMPLE_ROWS, "s.csv.json": '{"grid": {"min": -4.0, "max": 4.0, "n": 15}}'},
+         "sidecar grid n=15 but file has 16 rows"),
+        (["marginal", "--theta", "0.3", "--state", "file:{d}/s.csv"],
+         {"s.csv": "index,coordinate,re,im\n" + SAMPLE_ROWS, "s.csv.json": '{"grid": {"min": -3.0, "max": 5.0, "n": 16}}'},
+         "coordinates disagree with the sidecar grid"),
+        (["wigner", "--state", "hermite:0", "--config", "{d}/run.conf"], {"run.conf": "n\n"}, "expected key=value"),
+        (["wigner", "--state", "hermite:0", "--config", "{d}/run.conf"], {"run.conf": "n=abc\n"},
+         "config value n='abc' is not a valid int"),
+        (["weyl-check", "--g", "x", "--state", "hermite:0", "--dim", "8", "--config", "{d}/run.conf"],
+         {"run.conf": "dump_matrix=maybe\n"}, "config value dump_matrix='maybe' is not a valid bool"),
+    ],
+    ids=[
+        "hermite-not-int", "hermite-negative", "file-no-path", "unknown-kind", "spin-one-amplitude",
+        "grid-n-1", "charfn-empty-window", "tamper-bogus-kind", "tamper-rect-too-wide", "tamper-rect-negative",
+        "tamper-smooth-negative-a", "file-one-row", "file-sidecar-n", "file-sidecar-coordinates",
+        "config-no-equals", "config-n-not-int", "config-bool-not-a-spelling",
+    ],
+)
+def test_one_line_errors_exit_1(tmp_path, capsys, argv, files, reason):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    assert main([a.replace("{d}", str(tmp_path)) for a in argv] + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0], captured.err
+    assert not list(out.rglob("*"))

@@ -224,7 +224,7 @@ def test_weyl_matrix_csv_bytes(tmp_path):
 def test_sampled_csv_and_sidecar_bytes(tmp_path):
     sf = SampledFunction1D(Grid1D(-2.0, 2.0, 4), CPLX.ravel())
     path = tmp_path / "state.csv"
-    write_sampled_csv(path, sf, sidecar={"label": "pinned"})
+    write_sampled_csv(path, sf)
     assert path.read_bytes() == (
         b"index,coordinate,re,im\n"
         b"0,-2.0,1.0,-0.0\n1,-1.0,1e-05,1e+16\n"
@@ -232,5 +232,5 @@ def test_sampled_csv_and_sidecar_bytes(tmp_path):
     )
     assert (tmp_path / "state.csv.json").read_bytes() == (
         b'{\n  "grid": {\n    "max": 2.0,\n    "min": -2.0,\n    "n": 4\n  },\n'
-        b'  "kind": "wavefunction",\n  "label": "pinned"\n}\n'
+        b'  "kind": "wavefunction"\n}\n'
     )
