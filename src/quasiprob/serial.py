@@ -26,11 +26,6 @@ def schema_path() -> Path:
     return Path(str(resources.files("quasiprob") / "schemas" / SCHEMA_NAME))
 
 
-def load_schema() -> dict:
-    with open(schema_path(), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def write_json(path: str | Path, obj: dict) -> str:
     """Write obj as strict JSON (sorted keys, trailing newline) and return the text.
 

@@ -226,6 +226,5 @@ def moyal_expectation_check(
     lhs = float(np.real(np.conj(c) @ G @ c))
 
     f = wigner_transform(psi, MOYAL_GRID)
-    X, P = MOYAL_GRID.meshgrid()
-    rhs = quadrature_2d(g.evaluate(X, P) * f.values, MOYAL_GRID)
+    rhs = quadrature_2d(g.evaluate(MOYAL_GRID.gx.points[:, None], MOYAL_GRID.gp.points) * f.values, MOYAL_GRID)
     return lhs, rhs, abs(lhs - rhs)

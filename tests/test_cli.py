@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,11 +13,11 @@ import pytest
 import quasiprob
 from quasiprob import cli, tomography, verify
 from quasiprob.cli import main
-from quasiprob.serial import load_schema, write_sampled_csv
-from quasiprob.numerics import Grid1D, SampledFunction1D
+from quasiprob.serial import schema_path, write_sampled_csv
+from quasiprob.numerics import Grid1D, PreconditionError, SampledFunction1D
 from quasiprob.states import fock_expansion, gaussian_state, oscillator_eigenstate
 
-SCHEMA = load_schema()
+SCHEMA = json.loads(schema_path().read_text())
 
 
 def run(argv, capsys):
@@ -505,6 +506,60 @@ def test_verify_searches_each_state_once(searches):
     ]
 
 
+def _verify(tmp_path, capsys):
+    """Exit code, report, stderr lines of an in-process verify; the report is also its stdout."""
+    code = main(["verify", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    text = (tmp_path / "verify.json").read_text()
+    assert captured.out == text
+    rep = json.loads(text)
+    jsonschema.validate(rep, SCHEMA)
+    return code, rep, captured.err.splitlines()
+
+
+def test_verify_table_follows_the_report(tmp_path, capsys):
+    # one stderr row per check, in the report's order, then the summary;
+    # the runtime's value is on its row and nowhere in the report
+    code, rep, lines = _verify(tmp_path, capsys)
+    assert code == 0 and rep["ok"]
+    *rows, summary = lines
+    assert len(rows) == len(rep["checks"]) == 30
+    runtimes = 0
+    for row, c in zip(rows, rep["checks"]):
+        mark = "PASS" if c["ok"] else "FAIL"
+        if c["name"].endswith("-runtime-s"):
+            runtimes += 1
+            assert "value" not in c
+            value = re.fullmatch(r"\S+  \S+ +value=(\S+)  bound=\S+", row).group(1)
+            assert row == f"{mark}  {c['name']:<36s} value={value}  bound={c['tol']:.6e}"
+            assert 0.0 <= float(value) <= c["tol"]
+        else:
+            assert row == f"{mark}  {c['name']:<36s} value={c['value']:.6e}  bound={c['tol']:.6e}"
+    assert runtimes == 1
+    assert re.fullmatch(r"OK: 30/30 checks passed in \d+\.\ds", summary)
+
+
+def test_verify_check_that_raises_keeps_the_rows_before_it(tmp_path, capsys, monkeypatch):
+    _, full, _ = _verify(tmp_path / "full", capsys)
+    transform = verify.wigner_transform
+    calls = []
+
+    def third_call_raises(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:  # inside wigner-hermite3-hbar-dev
+            raise PreconditionError("wigner_transform exceeded the 1/(pi hbar) bound")
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "wigner_transform", third_call_raises)
+    code, rep, lines = _verify(tmp_path / "aborted", capsys)
+    assert code == 1 and not rep["ok"]
+    assert rep["checks"][:5] == full["checks"][:5]
+    assert rep["checks"][5:] == [{"name": "aborted-after-wigner-excited-negativity", "ok": False, "tol": 0.0}]
+    assert lines[5] == "FAIL  aborted-after-wigner-excited-negativity: wigner_transform exceeded the 1/(pi hbar) bound"
+    assert re.fullmatch(r"FAILED: 5/6 checks passed in \d+\.\ds", lines[6])
+    assert len(lines) == 7
+
+
 def _loaded_after_import(module, package):
     """Sorted names of package's modules loaded by importing module in a fresh interpreter."""
     src = str(Path(quasiprob.__file__).parents[1])
@@ -713,12 +768,17 @@ def test_config_bool_spellings(tmp_path, capsys, value, dumped):
          "config value n='abc' is not a valid int"),
         (["weyl-check", "--g", "x", "--state", "hermite:0", "--dim", "8", "--config", "{d}/run.conf"],
          {"run.conf": "dump_matrix=maybe\n"}, "config value dump_matrix='maybe' is not a valid bool"),
+        (["weyl-check", "--g", "x", "--state", "hermite:0", "--dim", "8", "--config", "{d}/run.conf"],
+         {"run.conf": "dump-matrx=yes\n"}, "config key(s) not options of weyl-check: dump_matrx"),
+        (["spin", "--state", "1,0", "--config", "{d}/run.conf"], {"run.conf": "tol=1e-9\n"},
+         "config key(s) not options of spin: tol"),
     ],
     ids=[
         "hermite-not-int", "hermite-negative", "file-no-path", "unknown-kind", "spin-one-amplitude",
         "grid-n-1", "charfn-empty-window", "tamper-bogus-kind", "tamper-rect-too-wide", "tamper-rect-negative",
         "tamper-smooth-negative-a", "file-one-row", "file-sidecar-n", "file-sidecar-coordinates",
-        "config-no-equals", "config-n-not-int", "config-bool-not-a-spelling",
+        "config-no-equals", "config-n-not-int", "config-bool-not-a-spelling", "config-misspelled-key",
+        "config-key-of-another-subcommand",
     ],
 )
 def test_one_line_errors_exit_1(tmp_path, capsys, argv, files, reason):

@@ -8,7 +8,6 @@ import pytest
 import _oracles as oracle
 from quasiprob.numerics import Grid1D, PreconditionError, SampledFunction1D
 from quasiprob.serial import (
-    load_schema,
     read_sampled_csv,
     schema_path,
     write_csv,
@@ -26,7 +25,7 @@ CPLX = np.array([[complex(1.0, -0.0), complex(1e-05, 1e16)], [complex(5e-324, 0.
 def test_schema_ships_with_package():
     p = schema_path()
     assert p.exists()
-    schema = load_schema()
+    schema = json.loads(schema_path().read_text())
     assert "$defs" in schema
 
 
@@ -115,7 +114,7 @@ def test_marginal_csv_header(tmp_path):
 
 
 def test_schema_rejects_malformed_report():
-    schema = load_schema()
+    schema = json.loads(schema_path().read_text())
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"kind": "spin-report"}, schema)
     with pytest.raises(jsonschema.ValidationError):
