@@ -454,7 +454,9 @@ def main(argv: list[str] | None = None) -> int:
         opts = resolve_options(ns, conf)
         out = Path(opts["out"])
         out.mkdir(parents=True, exist_ok=True)
-        report = HANDLERS[ns.subcommand](opts)
+        with warnings.catch_warnings():  # the filters stay; only the format changes
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            report = HANDLERS[ns.subcommand](opts)
         text = write_json(out / (ns.subcommand.replace("-", "_") + ".json"), report)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -27,7 +27,7 @@ from .tomography import (
     smooth_modification,
     verify_j2m,
 )
-from .weyl import displacement, moyal_expectation_check, oscillator_matrices, symbol, weyl_quantize
+from .weyl import moyal_expectation_check, oscillator_matrices, symbol, weyl_quantize
 from .wigner import (
     QuasiDistribution,
     characteristic_function,
@@ -173,17 +173,28 @@ def _suite(check) -> None:
         dev = max(dev, float(np.abs(np.diag(weyl_quantize(symbol("gauss"), 20, hbar)) - exact).max()))
     check("weyl-gauss-hbar-dev", dev, 1e-12)
 
-    # <e^{-i(aX+bP)}> two ways at hbar != 1: sandwiched between the state's
-    # oscillator coefficients, and by the split-form quadrature
-    dev = 0.0
+    # closed forms at hbar != 1 with t = hbar (a^2 + b^2) / 2: hermite:3 has
+    # chi = e^{-t/2} L_3(t), and the coherent gaussian(x0, p0, sqrt(hbar)) has
+    # chi = e^{-i(a x0 + b p0)} e^{-t/2} and oscillator coefficients
+    # e^{i x0 p0 / 2 hbar} e^{-|z|^2/2} z^n / sqrt(n!), z = (x0 + i p0) / sqrt(2 hbar)
+    a, b = np.array([-1.0, 0.5, 2.0]), np.array([-1.5, 1.0])
+    A, B = np.meshgrid(a, b, indexing="ij")
+    x0, p0 = 1.0, -1.5
+    cf_dev = fock_dev = 0.0
     for hbar in (0.5, 2.0):
-        for psi in (oscillator_eigenstate(3, hbar), gaussian_state(1.0, -1.5, float(np.sqrt(hbar)), hbar)):
-            c = fock_expansion(psi).c[:64]
-            for a in (-1.0, 0.5, 2.0):
-                for b in (-1.5, 1.0):
-                    matrix_side = np.conj(c) @ displacement(-a, -b, c.size, hbar) @ c
-                    dev = max(dev, abs(matrix_side - characteristic_function(psi, a, b)[0, 0]))
-    check("displacement-charfn-dev", float(dev), 1e-12)
+        t = hbar * (A**2 + B**2) / 2
+        coh_h = gaussian_state(x0, p0, float(np.sqrt(hbar)), hbar)
+        for psi, exact in (
+            (oscillator_eigenstate(3, hbar), np.exp(-t / 2) * (1 - 3 * t + 1.5 * t**2 - t**3 / 6)),
+            (coh_h, np.exp(-1j * (A * x0 + B * p0) - t / 2)),
+        ):
+            cf_dev = max(cf_dev, float(np.abs(characteristic_function(psi, a, b) - exact).max()))
+        c = fock_expansion(coh_h).c
+        z = complex(x0, p0) / np.sqrt(2 * hbar)
+        powers = np.cumprod(np.r_[1.0, z / np.sqrt(np.arange(1, c.size))])  # z^n / sqrt(n!)
+        fock_dev = max(fock_dev, float(np.abs(c - np.exp(1j * x0 * p0 / (2 * hbar) - abs(z) ** 2 / 2) * powers).max()))
+    check("charfn-hbar-dev", cf_dev, 1e-12)
+    check("fock-hbar-dev", fock_dev, 1e-12)
 
     # expectation equality for six symbols and three states
     table = moyal_table(64, [("ground", psi0, fock0), ("excited", psi1, fock1), ("coherent(2,3)", coh, fockc)])

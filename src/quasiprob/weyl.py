@@ -1,5 +1,5 @@
-"""Weyl quantization g(x, p) -> g(X, P) in a truncated oscillator basis,
-displacement operators, and the expectation-equality check.
+"""Weyl quantization g(x, p) -> g(X, P) in a truncated oscillator basis and
+the expectation-equality check.
 
 Weyl quantization is the dual of the Wigner transform: <psi|g(X,P)|psi> is the
 phase-space integral of g against psi's Wigner function.  So each matrix
@@ -11,7 +11,9 @@ closed form (Groenewold, Physica 12, 405 (1946); Cahill & Glauber, Phys. Rev.
     W_{|n+d><n|} = ((-1)^n / (pi hbar)) e^{-i d phi} l_n^(d)(t),
     l_n^(d)(t) = sqrt(n!/(n+d)!) t^{d/2} e^{-t/2} L_n^(d)(t),
 
-with L_n^(d) the generalized Laguerre polynomial.  W decays like e^{-r^2/hbar},
+with L_n^(d) the generalized Laguerre polynomial.  Only the harmonic
+e^{i d phi} of g survives the angular integral, so the matrix is nonzero only
+on the diagonals +-d of the harmonics that g carries.  W decays like e^{-r^2/hbar},
 so a polynomial symbol needs no damping and no Fourier transform, and the
 N x N matrix is the compression of the untruncated operator with no error at
 the basis edge.
@@ -49,21 +51,20 @@ from .numerics import PreconditionError, quadrature_2d, square_grid
 from .states import FockExpansion, WaveFunction
 from .wigner import wigner_transform
 
-#: Radii per block of the Laguerre table in weyl_quantize.
-CHUNK = 1024
-
 #: Phase-space grid of the quadrature side of moyal_expectation_check.
 MOYAL_GRID = square_grid(-12.0, 12.0, 192)
 
 
 @dataclass(frozen=True)
 class PhaseSpaceFunction:
-    """Real symbol g(x, p), the wavenumber band past which its transform is
+    """Real symbol g(x, p), the orders d >= 0 (ascending) of its angular
+    harmonics e^{+-i d phi}, the wavenumber band past which its transform is
     below 1e-16 of its peak (0 for polynomials), and the radius past which g
     is below 1e-16 of its peak (infinite for polynomials)."""
 
     label: str
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    harmonics: tuple[int, ...]
     band: float = 0.0
     support: float = math.inf
 
@@ -72,18 +73,19 @@ def symbol(name: str) -> PhaseSpaceFunction:
     """Library symbols: x, p, x2, p2, xp, x2p2 and gauss = e^{-x^2-p^2}."""
     if name == "gauss":
         # e^{-k^2/4} < 1e-16 past k = 12.1 and e^{-r^2} < 1e-16 past r = 6.1
-        return PhaseSpaceFunction("gauss", lambda x, p: np.exp(-(x**2) - p**2), 12.0, 6.5)
-    table: dict[str, Callable] = {
-        "x": lambda x, p: x,
-        "p": lambda x, p: p,
-        "x2": lambda x, p: x**2,
-        "p2": lambda x, p: p**2,
-        "xp": lambda x, p: x * p,
-        "x2p2": lambda x, p: x**2 + p**2,
+        return PhaseSpaceFunction("gauss", lambda x, p: np.exp(-(x**2) - p**2), (0,), 12.0, 6.5)
+    # x = r cos phi, p = r sin phi, xp = (r^2 / 2) sin 2 phi, x^2 = (r^2 / 2)(1 + cos 2 phi)
+    table: dict[str, tuple[Callable, tuple[int, ...]]] = {
+        "x": (lambda x, p: x, (1,)),
+        "p": (lambda x, p: p, (1,)),
+        "x2": (lambda x, p: x**2, (0, 2)),
+        "p2": (lambda x, p: p**2, (0, 2)),
+        "xp": (lambda x, p: x * p, (2,)),
+        "x2p2": (lambda x, p: x**2 + p**2, (0,)),
     }
     if name not in table:
         raise PreconditionError(f"unknown symbol {name!r} (have x, p, x2, p2, xp, x2p2, gauss)")
-    return PhaseSpaceFunction(name, table[name])
+    return PhaseSpaceFunction(name, *table[name])
 
 
 def oscillator_matrices(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -100,55 +102,36 @@ def oscillator_matrices(N: int, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarr
     return X, P
 
 
-def _laguerre_rows(N: int, t: np.ndarray):
-    """Yield l_n^(d)(t) for n = 0 .. N-1; row n is an (N-n, t.size) array
-    over d = 0 .. N-1-n, the orders that still fit in the N x N matrix.
+def _laguerre_rows(N: int, d: tuple[int, ...], t: np.ndarray):
+    """Yield l_n^(d)(t) for n = 0 .. N-1 at t > 0; row n is a (k, t.size)
+    array over the first k of the ascending orders d, those with n + d < N,
+    the entries that still fit in the N x N matrix.
 
     The normalized three-term recurrence in n,
     l_{n+1} = [(2n+1+d-t) l_n - sqrt(n(n+d)) l_{n-1}] / sqrt((n+1)(n+1+d)),
-    runs for every d at once from l_0^(d) = t^{d/2} e^{-t/2} / sqrt(d!),
+    runs for every order at once from l_0^(d) = t^{d/2} e^{-t/2} / sqrt(d!),
     taken in log form so that no factor overflows at large t.
     """
-    d = np.arange(N, dtype=float)[:, None]
-    logt = np.log(t, out=np.full(t.shape, -np.inf), where=t > 0)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(1, N)])[:, None]
-    cur = np.empty((N, t.size))
-    cur[0] = np.exp(-t / 2)  # d = 0 apart: 0 * log 0 would be NaN at t = 0
-    cur[1:] = np.exp(d[1:] / 2 * logt - t / 2 - log_fact / 2)
+    d = np.array(d, dtype=float)[:, None]
+    log_fact = np.array([math.lgamma(m + 1.0) for m in d[:, 0]])[:, None]
+    cur = np.exp(d / 2 * np.log(t) - t / 2 - log_fact / 2)
     prev = np.zeros_like(cur)
     for n in range(N):
+        k = int(np.count_nonzero(n + d[:, 0] < N))
+        cur, prev = cur[:k], prev[:k]
         yield cur
-        k = N - n - 1
         dk = d[:k]
         nxt = (2 * n + 1 + dk) - t
-        nxt *= cur[:k]
-        nxt -= np.sqrt(n * (n + dk)) * prev[:k]
+        nxt *= cur
+        nxt -= np.sqrt(n * (n + dk)) * prev
         nxt /= np.sqrt((n + 1) * (n + 1 + dk))
-        cur, prev = nxt, cur[:k]
-
-
-def displacement(alpha: float, beta: float, N: int, hbar: float = 1.0) -> np.ndarray:
-    """e^{i(alpha X + beta P)} compressed to the first N oscillator states.
-
-    Entry (n+d, n) is i^d e^{i d phi} l_n^(d)(t) with alpha + i beta =
-    r e^{i phi} and t = hbar r^2 / 2; entry (n, n+d) is (-1)^d times its
-    conjugate (see the module docstring).  Every entry is the untruncated
-    operator's: N only sets which entries are kept.
-    """
-    r = float(np.hypot(alpha, beta))
-    step = 1j * complex(alpha, beta) / r if r > 0 else 1.0  # i e^{i phi}
-    D = np.zeros((N, N), dtype=complex)
-    for n, row in enumerate(_laguerre_rows(N, np.array([hbar * r * r / 2]))):
-        d = np.arange(N - n)
-        v = step**d * row[:, 0]
-        D[n + d, n] = v
-        D[n, n + d] = (-1.0) ** d * v.conj()
-    return D
+        cur, prev = nxt, cur
 
 
 def _ring_sums(g: PhaseSpaceFunction, N: int, hbar: float) -> tuple[np.ndarray, float, np.ndarray]:
     """The distinct lattice radii R of g's kept quadrature nodes, the spacing
-    h, and S_d(R) / (pi hbar) for d < N as an (N, len(R)) array.
+    h, and S_d(R) / (pi hbar) for the orders d of g's harmonics as a
+    (len(g.harmonics), len(R)) array.
 
     With a = 2i + 1 and b = 2j + 1 the node (a, b) h / 2 has e^{-i phi} =
     (a - ib)/|a - ib|, so the phases come from repeated multiplication and,
@@ -173,21 +156,22 @@ def _ring_sums(g: PhaseSpaceFunction, N: int, hbar: float) -> tuple[np.ndarray, 
     z = a - 1j * b
     step = z / np.abs(z)  # e^{-i phi}; no node is at the origin
     wp = w * (h * h / (np.pi * hbar)) + 0j
-    S = np.empty((N, first.size), dtype=complex)
-    for d in range(N):
-        S[d] = np.add.reduceat(wp, first)
+    S = []
+    for d in range(g.harmonics[-1] + 1):
+        if d in g.harmonics:
+            S.append(np.add.reduceat(wp, first))
         wp *= step
-    return R[first], h, S
+    return R[first], h, np.array(S)
 
 
 def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarray:
     """Quantize one symbol by the phase-space midpoint rule against the
     closed-form W_{|n+d><n|}, summed per lattice radius (module docstring).
 
-    The radii are contracted with numpy reductions, CHUNK at a time, and the
-    rows below the diagonal are the conjugates, so G is Hermitian bit for
-    bit.  With no BLAS product, the bits do not depend on the BLAS thread
-    count.
+    Only the diagonals d of g's harmonics are filled, each entry by one
+    numpy reduction over the radii, and the rows below the diagonal are the
+    conjugates, so G is Hermitian bit for bit.  With no BLAS product, the
+    bits do not depend on the BLAS thread count.
     """
     if N < 2:
         raise PreconditionError(f"truncation needs N >= 2, got {N}")
@@ -195,11 +179,10 @@ def weyl_quantize(g: PhaseSpaceFunction, N: int, hbar: float = 1.0) -> np.ndarra
         raise PreconditionError(f"weyl_quantize needs N <= 232, got {N}: the Laguerre start underflows")
     rad, h, S = _ring_sums(g, N, hbar)
     t = h * h / (2 * hbar) * rad
+    d = np.array(g.harmonics)
     U = np.zeros((N, N), dtype=complex)  # the upper triangle, U[n, n + d] = <n|G|n+d>
-    for r0 in range(0, rad.size, CHUNK):
-        c = slice(r0, r0 + CHUNK)
-        for n, row in enumerate(_laguerre_rows(N, t[c])):
-            U[n, n:] += (-1) ** n * (row * S[: N - n, c]).sum(axis=1)
+    for n, row in enumerate(_laguerre_rows(N, g.harmonics, t)):
+        U[n, n + d[: len(row)]] = (-1) ** n * (row * S[: len(row)]).sum(axis=1)
     U[np.diag_indices(N)] /= 2  # so the diagonal of U + U^dag is exactly real
     return U + U.conj().T
 

@@ -99,6 +99,30 @@ MOYAL_RHS = {
 # <psi0| e^{-i(X+P)} |psi0> = CF(1,1) = e^{-(1+1)/4} = e^{-1/2}.
 DISPLACEMENT_GROUND = np.exp(-0.5)
 
+
+# e^{i(alpha X + beta P)} compressed to the first N oscillator states
+# (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  With alpha + i beta =
+# r e^{i phi} and t = hbar r^2 / 2, entry (n+d, n) is i^d e^{i d phi}
+# sqrt(n!/(n+d)!) t^{d/2} e^{-t/2} L_n^(d)(t), and entry (n, n+d) is (-1)^d
+# times its conjugate.  The Laguerre polynomials come unnormalized, for every
+# order d at once, from (n+1) L_{n+1} = (2n+1+d-t) L_n - (n+d) L_{n-1}.
+def displacement(alpha, beta, N, hbar=1.0):
+    r = math.hypot(alpha, beta)
+    t = hbar * r * r / 2
+    step = 1j * complex(alpha, beta) / r if r > 0 else 1.0  # i e^{i phi}
+    log_fact = np.array([math.lgamma(m + 1.0) for m in range(N)])
+    d = np.arange(N)
+    lag, lag_prev = np.ones(N), np.zeros(N)  # L_n^(d)(t) and L_{n-1}^(d)(t), n = 0
+    D = np.zeros((N, N), dtype=complex)
+    for n in range(N):
+        k = d[: N - n]
+        v = step**k * np.exp((log_fact[n] - log_fact[n:]) / 2 - t / 2) * t ** (k / 2) * lag[: N - n]
+        D[n + k, n] = v
+        D[n, n + k] = (-1.0) ** k * v.conj()
+        lag, lag_prev = ((2 * n + 1 + d - t) * lag - (n + d) * lag_prev) / (n + 1), lag
+    return D
+
+
 # Spin family at t = 0 for the diagonal pure state with
 # <Z> = <X> = 1/sqrt(2): f-- = (1 + t - Z - X)/4 = (1 - sqrt(2))/4.
 SPIN_DIAG_FMM = (1.0 - np.sqrt(2.0)) / 4.0

@@ -36,7 +36,6 @@ from quasiprob.tomography import (
 )
 from quasiprob.verify import moyal_table
 from quasiprob.weyl import (
-    displacement,
     oscillator_matrices,
     symbol,
     weyl_quantize,
@@ -91,7 +90,7 @@ def test_criterion_03_characteristic_closed_form_and_phase(ground):
     for alpha in (-1.0, 0.5, 2.0):
         for beta in (-1.5, 1.0):
             # e^{-i(aX+bP)} is the displacement with both signs flipped
-            D = displacement(-alpha, -beta, 64)
+            D = oracle.displacement(-alpha, -beta, 64)
             matrix_side = complex(np.conj(c) @ D @ c)
             integral_side = complex(characteristic_function(psi, alpha, beta)[0, 0])
             dev2 = max(dev2, abs(matrix_side - integral_side))

@@ -26,6 +26,15 @@ def run(argv, capsys):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def test_a_warning_prints_as_one_line(tmp_path, capsys):
+    # no source path or code line: stderr is the same from any checkout
+    assert main(["wigner", "--state", "hermite:1", "--n", "48", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: wigner_transform: correlation not decayed at the b-window edge "
+        "(edge/max = 7.70e-08); refine the p-grid\n"
+    )
+
+
 def test_wigner_subcommand(tmp_path, capsys):
     code, rep = run(
         ["wigner", "--state", "hermite:1", "--xmin", "-6", "--xmax", "6", "--n", "64",
@@ -132,7 +141,7 @@ def test_weyl_check_is_exact_once_the_state_fits(tmp_path, capsys, state, dim):
     assert abs(rep["lhs"]) < 1e-12
 
 
-@pytest.mark.parametrize("g,dim", [("gauss", "64"), ("x2p2", "20")])
+@pytest.mark.parametrize("g,dim", [("gauss", "64"), ("x2p2", "20"), ("xp", "232")])
 def test_weyl_matrix_bits_do_not_depend_on_blas_threads(tmp_path, g, dim):
     src = str(Path(quasiprob.__file__).parents[1])
     dumps = []
@@ -492,8 +501,7 @@ def test_state_command_searches_the_state_coefficients_once(tmp_path, capsys, se
 
 
 def test_verify_searches_each_state_once(searches):
-    # hermite:3 and the two coherent states serve the displacement check,
-    # hermite:3 once at each of hbar = 0.5 and 2
+    # the coherent state of fock-hbar-dev once at each of hbar = 0.5 and 2
     assert verify.run_verify()["ok"]
     assert sorted(searches) == [
         "gaussian(1.0,-1.5,0.7071067811865476)",
@@ -501,8 +509,6 @@ def test_verify_searches_each_state_once(searches):
         "gaussian(2.0,3.0,1.0)",
         "hermite:0",
         "hermite:1",
-        "hermite:3",
-        "hermite:3",
     ]
 
 
@@ -523,7 +529,7 @@ def test_verify_table_follows_the_report(tmp_path, capsys):
     code, rep, lines = _verify(tmp_path, capsys)
     assert code == 0 and rep["ok"]
     *rows, summary = lines
-    assert len(rows) == len(rep["checks"]) == 30
+    assert len(rows) == len(rep["checks"]) == 31
     runtimes = 0
     for row, c in zip(rows, rep["checks"]):
         mark = "PASS" if c["ok"] else "FAIL"
@@ -536,7 +542,7 @@ def test_verify_table_follows_the_report(tmp_path, capsys):
         else:
             assert row == f"{mark}  {c['name']:<36s} value={c['value']:.6e}  bound={c['tol']:.6e}"
     assert runtimes == 1
-    assert re.fullmatch(r"OK: 30/30 checks passed in \d+\.\ds", summary)
+    assert re.fullmatch(r"OK: 31/31 checks passed in \d+\.\ds", summary)
 
 
 def test_verify_check_that_raises_keeps_the_rows_before_it(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,6 @@ from quasiprob.states import FockExpansion, fock_expansion, gaussian_state, osci
 from quasiprob.weyl import (
     PhaseSpaceFunction,
     _ring_sums,
-    displacement,
     moyal_expectation_check,
     oscillator_matrices,
     symbol,
@@ -87,7 +86,7 @@ def test_quantize_matches_direct_displaced_parity_sum(name, hbar):
     keep = np.abs(w) > 1e-16 * np.abs(w).max()
     parity = (-1.0) ** np.arange(n)
     ref = sum(
-        wi * h * h * displacement(2 * pi / hbar, -2 * xi / hbar, n, hbar)
+        wi * h * h * oracle.displacement(2 * pi / hbar, -2 * xi / hbar, n, hbar)
         for xi, pi, wi in zip(x[keep], p[keep], w[keep])
     ) * parity / (np.pi * hbar)
     assert np.max(np.abs(weyl_quantize(g, n, hbar) - ref)) < 1e-13
@@ -112,23 +111,35 @@ def exact_compression(name, n, hbar):
 @pytest.mark.parametrize("name", SYMBOLS)
 def test_quantize_is_bitwise_the_dense_formula(name, n, hbar):
     # bitwise Hermitian, and over the whole matrix the dense exact
-    # compression to rounding; n = 2 has a single off-diagonal, and 33 is odd
-    M = weyl_quantize(symbol(name), n, hbar)
+    # compression to rounding; n = 2 has a single off-diagonal, and 33 is odd;
+    # every entry off the diagonals of the symbol's harmonics is exactly 0
+    g = symbol(name)
+    M = weyl_quantize(g, n, hbar)
     assert np.array_equal(M, M.conj().T)
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    assert not M[~np.isin(d, g.harmonics)].any()
     tol = 1e-14 if name == "gauss" else 1e-12
     assert np.max(np.abs(M - exact_compression(name, n, hbar))) < tol
+
+
+@pytest.mark.parametrize("name", SYMBOLS)
+def test_declared_harmonics_are_the_nonzero_diagonals(name):
+    # a harmonic declared missing misses the exact compression at O(1), and
+    # a superfluous one names a diagonal on which the compression is 0
+    M = exact_compression(name, 8, 1.0)
+    assert symbol(name).harmonics == tuple(d for d in range(8) if np.abs(np.diagonal(M, d)).max() > 1e-3)
 
 
 @pytest.mark.parametrize("name,disc,nodes,radii", [("gauss", 4556, 3980, 361), ("xp", 6376, 6376, 560)])
 def test_quantize_exponential_count(monkeypatch, name, disc, nodes, radii):
     # at n = 20, hbar = 1: g is evaluated on the disc's nodes only, gauss
     # keeps those inside its support, and the kept nodes group into lattice
-    # radii; np.exp runs on g and on one Laguerre start per (d, radius),
-    # never on a complex argument
+    # radii; np.exp runs on g and on one Laguerre start per (declared
+    # harmonic, radius), never on a complex argument
     g, n = symbol(name), 20
     rad, _, S = _ring_sums(g, n, 1.0)
     assert rad.size == radii
-    assert S.shape == (n, radii)
+    assert S.shape == (len(g.harmonics), radii)
     exp, argsort = np.exp, np.argsort
     count = {"real": 0, "complex": 0}
     sorted_sizes = []
@@ -145,21 +156,20 @@ def test_quantize_exponential_count(monkeypatch, name, disc, nodes, radii):
     monkeypatch.setattr(np, "argsort", counting_argsort)
     weyl_quantize(g, n)
     assert sorted_sizes == [nodes]  # the kept nodes, sorted by radius
-    assert count == {"real": (disc if name == "gauss" else 0) + n * radii, "complex": 0}
+    assert count == {"real": (disc if name == "gauss" else 0) + len(g.harmonics) * radii, "complex": 0}
 
 
 @pytest.mark.parametrize("hbar", [1e-6, 1e6])
 @pytest.mark.parametrize("name", ["gauss", "x2p2"])
 def test_quantize_is_finite_at_extreme_hbar(name, hbar):
     # t = hbar r^2 / 2 spans ~1e-11 .. 1e8 here; the log-form Laguerre start
-    # neither overflows nor warns (RuntimeWarning is an error in this suite),
-    # including 0 * log 0 at the origin node
+    # neither overflows nor warns (RuntimeWarning is an error in this suite)
     assert np.isfinite(weyl_quantize(symbol(name), 20, hbar)).all()
 
 
 def test_quantize_zero_symbol_is_zero_matrix():
-    # every node is pruned, so the chunk loop never runs
-    assert not weyl_quantize(PhaseSpaceFunction("zero", lambda x, p: 0.0 * x), 5).any()
+    # every node is pruned, so every sum over the radii is empty
+    assert not weyl_quantize(PhaseSpaceFunction("zero", lambda x, p: 0.0 * x, (0,)), 5).any()
 
 
 def test_quantize_rejects_n_where_the_laguerre_start_underflows():
@@ -188,12 +198,12 @@ def test_trace_identity():
 
 def test_displacement_ground_expectation():
     # <0| e^{-i(X+P)} |0> = e^{-1/2}
-    D = displacement(-1.0, -1.0, 64)
+    D = oracle.displacement(-1.0, -1.0, 64)
     assert abs(complex(D[0, 0]) - oracle.DISPLACEMENT_GROUND) < 1e-10
 
 
 def test_displacement_is_unitary_inside():
-    D = displacement(0.7, -1.3, 64)
+    D = oracle.displacement(0.7, -1.3, 64)
     G = (D.conj().T @ D)[:32, :32]
     assert np.max(np.abs(G - np.eye(32))) < 1e-8
 
@@ -209,7 +219,7 @@ def test_displacement_matches_scipy_expm(alpha, beta, hbar, n):
 
     X, P = oscillator_matrices(n + 40, hbar)
     ref = expm(1j * (alpha * X + beta * P))[:n, :n]
-    assert np.max(np.abs(displacement(alpha, beta, n, hbar) - ref)) < 1e-12
+    assert np.max(np.abs(oracle.displacement(alpha, beta, n, hbar) - ref)) < 1e-12
 
 
 def test_fock_coefficients_of_coherent():
